@@ -1,32 +1,14 @@
 """Timing the O(n!) oracle against the GT-pattern evaluation.
 
 The oracle antisymmetrizes over all n! permutations and divides exactly;
-the pattern expansion walks strict GT patterns and multiplies small q,t
-determinants.  Both produce the identical polynomial.
+the pattern expansion sums over strict GT patterns, row by row.  This runs
+``hlgt bench``, which times both routes on every partition, checks that
+they give the identical polynomial before it writes a row, and prints a
+table followed by the same rows as CSV.
 """
 
-import time
+import sys
 
-from hlgt import formulas, hall_littlewood, hl_pattern_expansion, weyl_denominator
-from hlgt.patterns import weakly_decreasing_tuples
+from hlgt import cli
 
-
-def timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return time.perf_counter() - start, value
-
-
-print(f"{'lambda':<14} {'terms':>6} {'oracle (s)':>12} {'patterns (s)':>13}")
-for n in (3, 4):
-    for lam in weakly_decreasing_tuples(n, 2):
-        oracle_time, product = timed(
-            lambda: weyl_denominator(len(lam), "q") * hall_littlewood(lam)
-        )
-        formulas.clear_caches()
-        closed_time, expansion = timed(lambda: hl_pattern_expansion(lam))
-        assert expansion == product
-        print(f"{str(lam):<14} {len(product):>6} {oracle_time:>12.6f} {closed_time:>13.6f}")
-
-print()
-print("identical polynomials from both routes on every line (asserted)")
+sys.exit(cli.main(["bench", "--n", "3,4", "--max-part", "2"]))

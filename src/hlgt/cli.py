@@ -15,31 +15,32 @@ import time
 from typing import Sequence
 
 from . import formulas, oracle, verify
-from .patterns import enumerate_patterns, is_strictly_decreasing, is_weakly_decreasing
+from .patterns import (
+    enumerate_patterns,
+    is_strictly_decreasing,
+    is_weakly_decreasing,
+    weakly_decreasing_tuples,
+)
 from .polyring import Polynomial
 
 MODES = ("oracle", "closed", "recursive", "tokuyama", "stanley")
 
 
-def _parts(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {text!r}"
-        ) from None
-    if any(p < 0 for p in parts):
-        raise argparse.ArgumentTypeError(f"parts must be nonnegative: {text!r}")
-    return parts
+def _int_list(nonnegative: bool):
+    """An argparse type for comma-separated integers, e.g. ``2,1,0``."""
 
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of integers, got {text!r}"
+            ) from None
+        if nonnegative and any(v < 0 for v in values):
+            raise argparse.ArgumentTypeError(f"parts must be nonnegative: {text!r}")
+        return values
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {text!r}"
-        ) from None
+    return parse
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -136,6 +137,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(
             f"--n {args.n_max} exceeds the oracle cap ({oracle.max_oracle_vars()})"
         )
+    if args.part_max < 0:
+        return _usage_error("--max-part must be nonnegative")
     report = verify.run_suite(args.suite, args.n_max, args.part_max)
     if args.format == "json":
         _emit(json.dumps(report.to_dict()), args.out)
@@ -169,27 +172,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _usage_error("--n sizes must be at least 1")
     if any(n > cap for n in args.n_list):
         return _usage_error(f"--n sizes exceed the oracle cap ({cap})")
+    if args.part_max < 0:
+        return _usage_error("--max-part must be nonnegative")
     if args.repeats < 1:
         return _usage_error("--repeats must be at least 1")
     rows: list[dict] = []
     for n in args.n_list:
-        for lam in verify.weakly_decreasing_tuples(n, args.part_max):
-            seconds, poly = _timed(
+        for lam in weakly_decreasing_tuples(n, args.part_max):
+            oracle_s, product = _timed(
                 lambda lam=lam, n=n: oracle.weyl_denominator(n, "q")
                 * oracle.hall_littlewood(lam),
                 args.repeats,
             )
-            rows.append({"n": n, "lambda": lam, "mode": "oracle",
-                         "terms": len(poly), "seconds": seconds})
 
             def closed(lam=lam):
                 # Clear memoized determinants so repeats measure real work.
                 formulas.clear_caches()
                 return formulas.hl_pattern_expansion(lam)
 
-            seconds, poly = _timed(closed, args.repeats)
-            rows.append({"n": n, "lambda": lam, "mode": "closed",
-                         "terms": len(poly), "seconds": seconds})
+            closed_s, expansion = _timed(closed, args.repeats)
+            if expansion != product:
+                print(f"error: closed and oracle routes differ for lambda={lam}",
+                      file=sys.stderr)
+                return 1
+            for mode, seconds in (("oracle", oracle_s), ("closed", closed_s)):
+                rows.append({"n": n, "lambda": lam, "mode": mode,
+                             "terms": len(product), "seconds": seconds})
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["n", "lambda", "mode", "terms", "seconds"])
@@ -225,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="evaluate one polynomial")
-    p_compute.add_argument("--lambda", dest="lam", type=_parts, required=True,
+    p_compute.add_argument("--lambda", dest="lam", type=_int_list(nonnegative=True),
+                           required=True,
                            help="partition as comma-separated parts, e.g. 2,1,0")
     p_compute.add_argument("--mode", choices=MODES, required=True)
     p_compute.add_argument("--format", choices=("text", "json"), default="text")
@@ -233,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_patterns = sub.add_parser("patterns", help="list GT patterns for a top row")
-    p_patterns.add_argument("--top", type=_parts, required=True)
+    p_patterns.add_argument("--top", type=_int_list(nonnegative=True), required=True)
     p_patterns.add_argument("--strict", action="store_true",
                             help="only patterns with strictly decreasing rows")
     p_patterns.add_argument("--stats", action="store_true",
@@ -252,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time oracle vs pattern evaluation")
-    p_bench.add_argument("--n", dest="n_list", type=_int_list, required=True,
-                         help="comma-separated list of lengths, e.g. 3,4")
+    p_bench.add_argument("--n", dest="n_list", type=_int_list(nonnegative=False),
+                         required=True, help="comma-separated list of lengths, e.g. 3,4")
     p_bench.add_argument("--max-part", dest="part_max", type=int, default=2)
     p_bench.add_argument("--repeats", type=int, default=3)
     p_bench.add_argument("--out", default=None, help="write the CSV to a file")

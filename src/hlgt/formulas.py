@@ -20,19 +20,21 @@ with the number of elementary raises needed.  That length is recovered
 from the weighted displacement sum(j * (image_j - alpha_j)): each
 elementary raise adds exactly one to it, so word order never matters.
 
-With those two ingredients the module evaluates four sums over GT
-patterns or single interleaving steps, all of which multiply out to the
-q-deformed Weyl denominator times a Hall-Littlewood or Schur polynomial:
+Each sum over strict GT patterns here weights a pattern by a product
+over its consecutive row pairs, so all four run on one row-transfer
+engine: with F((a,)) = x_n^a and k = n - len(row) + 1,
 
-* ``hl_pattern_expansion``: sum over strict patterns of the per-row
-  raising-closure-summed determinants times x^weight.
-* ``hl_row_recursion``: one interleaving step, delegating the smaller
-  Hall-Littlewood factor to the brute-force oracle.
-* ``tokuyama_sum`` / ``tokuyama_row_recursion``: the classical Schur
-  deformation (Tokuyama's formula) in both shapes.
-* ``stanley_sum`` / ``stanley_filtered_sum``: Stanley's strict-pattern
-  formula for the Schur q-polynomials and its filtered variant at the
-  specialization q = 0, t = -1.
+    F(row) = sum over strict next rows mu of
+             edge_weight(row, mu) * x_k^(|row| - |mu|) * F(mu),
+
+memoized per distinct row, which folds the pattern tree into a DAG (the
+transfer-matrix view of Tokuyama-type formulas).  The edge weights:
+``hl_pattern_expansion`` uses ``row_weight_sum``; ``tokuyama_sum``
+(-q)^left * (1-q)^special; ``stanley_sum`` 2^special, with top row lam
+itself; ``stanley_filtered_sum`` the product of the lower row's diagonal
+weights at q = 0, t = -1, or 0 if the pair fails its row-local filter.
+``hl_row_recursion`` and ``tokuyama_row_recursion`` take one step instead,
+with the smaller factor from the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 from . import oracle
-from .polyring import Monomial, Polynomial, constant, parameter
+from .polyring import Polynomial, constant, parameter
 from .patterns import (
     ALMOST_LEFT,
     LEFT,
@@ -54,7 +57,6 @@ from .patterns import (
     clear_caches as _clear_pattern_caches,
     diagonal_weight,
     entry_labels,
-    enumerate_patterns,
     interleaves,
     is_strictly_decreasing,
     next_rows,
@@ -65,6 +67,7 @@ from .patterns import (
 _Q = parameter("q", 0)
 _T = parameter("t", 0)
 _ONE = constant(1, 0)
+_ZERO = Polynomial.zero(0)
 
 
 # ----------------------------------------------------------------------
@@ -177,15 +180,37 @@ def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
 # ----------------------------------------------------------------------
 # pattern sums
 
-def _accumulate(acc: dict[Monomial, int], coeff: Polynomial, x_exps: tuple[int, ...]) -> None:
-    # Merge coeff (a q,t polynomial) times the x-monomial into acc.
-    for mono, c in coeff._terms.items():
-        key = x_exps + mono
-        total = acc.get(key, 0) + c
-        if total:
-            acc[key] = total
-        elif key in acc:
-            del acc[key]
+def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
+    """F(top) of the row transfer in the module docstring, one row length at a time."""
+    # Top down: the rows of each length reachable through nonzero weights,
+    # each mapped to its (next row, weight) edges.
+    levels: list[dict] = [{top: None}]
+    for _ in range(len(top) - 1):
+        for row in levels[-1]:
+            levels[-1][row] = [(mu, w) for mu in next_rows(row)
+                               if is_strictly_decreasing(mu) and (w := edge_weight(row, mu))]
+        levels.append(dict.fromkeys(mu for edges in levels[-1].values() for mu, _ in edges))
+    # Bottom up, holding F for two row lengths at a time, each F as
+    # {x-exponents of the last len(row) variables: {(q, t): coeff}}.
+    below = {row: {row: {(0, 0): 1}} for row in levels.pop()}
+    while levels:
+        here = {}
+        for row, edges in levels.pop().items():
+            out: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+            for mu, weight in edges:
+                w_terms = weight._terms.items()
+                drop = (sum(row) - sum(mu),)
+                for xs, qt in below[mu].items():
+                    acc = out.setdefault(drop + xs, {})
+                    for (wq, wt), wc in w_terms:
+                        for (q, t), c in qt.items():
+                            key = (q + wq, t + wt)
+                            acc[key] = acc.get(key, 0) + wc * c
+            here[row] = {xs: kept for xs, qt in out.items()
+                         if (kept := {key: c for key, c in qt.items() if c})}
+        below = here
+    terms = {xs + key: c for xs, qt in below[top].items() for key, c in qt.items()}
+    return Polynomial._raw(len(top), terms)
 
 
 def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
@@ -195,18 +220,48 @@ def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
     product over consecutive row pairs of the raising-closure-summed
     transition determinants, times x^weight.
     """
+    return _transfer(add_staircase(check_partition(lam)), row_weight_sum)
+
+
+def _leaning(upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple[int, int]:
+    # (left-leaning, special) entry counts of lower under a strict upper row.
+    left = sum(m == a for m, a in zip(lower, upper))
+    special = sum(m != upper[i] and m != upper[i + 1] for i, m in enumerate(lower))
+    return left, special
+
+
+def _tokuyama_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
+    left, special = _leaning(upper, lower)
+    return (-_Q) ** left * (_ONE - _Q) ** special
+
+
+def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
+    """Tokuyama's strict-pattern expansion of v_n(x;q) * s_lam(x).
+
+    Each pattern contributes (1-q)^special * (-q)^left * x^weight.
+    """
+    return _transfer(add_staircase(check_partition(lam)), _tokuyama_weight)
+
+
+def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
+    # Sum over next rows mu under alpha of weight(alpha, mu) * x_1^(|alpha| - |mu|)
+    # * v_{n-1}(x;q) * inner(mu - staircase), the oracle factors on x_2..x_n.
     lam = check_partition(lam)
     n = len(lam)
-    acc: dict[Monomial, int] = {}
-    for pattern in enumerate_patterns(add_staircase(lam), strict=True):
-        coeff = _ONE
-        for i in range(n - 1):
-            coeff = coeff * row_weight_sum(pattern.rows[i], pattern.rows[i + 1])
-            if not coeff:
-                break
-        if coeff:
-            _accumulate(acc, coeff, pattern.weight())
-    return Polynomial(n, acc)
+    alpha = add_staircase(lam)
+    if n == 1:
+        return Polynomial(1, {(alpha[0], 0, 0): 1})
+    rho = staircase(n - 1)
+    x1 = Polynomial(n, {(1,) + (0,) * (n + 1): 1})
+    total = Polynomial.zero(n)
+    for mu in next_rows(alpha):
+        coeff = weight(alpha, mu)
+        if not coeff:
+            continue
+        shifted_parts = tuple(m - r for m, r in zip(mu, rho))
+        factor = oracle.weyl_denominator(n - 1, "q") * inner(shifted_parts)
+        total = total + coeff.with_vars(n) * x1 ** (sum(alpha) - sum(mu)) * factor.shift_vars(0, n)
+    return total
 
 
 def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
@@ -218,38 +273,7 @@ def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
     with the Hall-Littlewood factor taken from the brute-force oracle.
     Non-strict mu feed exponent tuples with ascents straight into it.
     """
-    lam = check_partition(lam)
-    n = len(lam)
-    alpha = add_staircase(lam)
-    if n == 1:
-        return Polynomial(1, {(alpha[0], 0, 0): 1})
-    rho = staircase(n - 1)
-    x1 = Polynomial(n, {(1,) + (0,) * (n + 1): 1})
-    total = Polynomial.zero(n)
-    for mu in next_rows(alpha):
-        det = transition_det(alpha, mu)
-        if not det:
-            continue
-        shifted_parts = tuple(m - r for m, r in zip(mu, rho))
-        inner = oracle.weyl_denominator(n - 1, "q") * oracle.hall_littlewood(shifted_parts)
-        term = det.with_vars(n) * x1 ** (sum(alpha) - sum(mu)) * inner.shift_vars(0, n)
-        total = total + term
-    return total
-
-
-def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
-    """Tokuyama's strict-pattern expansion of v_n(x;q) * s_lam(x).
-
-    Each pattern contributes (1-q)^special * (-q)^left * x^weight.
-    """
-    lam = check_partition(lam)
-    n = len(lam)
-    acc: dict[Monomial, int] = {}
-    for pattern in enumerate_patterns(add_staircase(lam), strict=True):
-        left, _, special = pattern.leaning_counts()
-        coeff = (_ONE - _Q) ** special * (-_Q) ** left
-        _accumulate(acc, coeff, pattern.weight())
-    return Polynomial(n, acc)
+    return _one_step(lam, transition_det, oracle.hall_littlewood)
 
 
 def tokuyama_row_recursion(lam: Sequence[int]) -> Polynomial:
@@ -259,27 +283,14 @@ def tokuyama_row_recursion(lam: Sequence[int]) -> Polynomial:
     left-leaning, one equal to neither neighbour of alpha as special;
     non-strict mu drop out because their Schur factor vanishes.
     """
-    lam = check_partition(lam)
-    n = len(lam)
-    alpha = add_staircase(lam)
-    if n == 1:
-        return Polynomial(1, {(alpha[0], 0, 0): 1})
-    rho = staircase(n - 1)
-    x1 = Polynomial(n, {(1,) + (0,) * (n + 1): 1})
-    total = Polynomial.zero(n)
-    for mu in next_rows(alpha):
-        if not is_strictly_decreasing(mu):
-            continue
-        left = sum(m == a for m, a in zip(mu, alpha))
-        special = sum(
-            mu[i] != alpha[i] and mu[i] != alpha[i + 1] for i in range(len(mu))
-        )
-        coeff = (-_Q) ** left * (_ONE - _Q) ** special
-        shifted_parts = tuple(m - r for m, r in zip(mu, rho))
-        inner = oracle.weyl_denominator(n - 1, "q") * oracle.schur(shifted_parts)
-        term = coeff.with_vars(n) * x1 ** (sum(alpha) - sum(mu)) * inner.shift_vars(0, n)
-        total = total + term
-    return total
+    def weight(alpha, mu):
+        return _tokuyama_weight(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
+
+    return _one_step(lam, weight, oracle.schur)
+
+
+def _stanley_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
+    return constant(2 ** _leaning(upper, lower)[1], 0)
 
 
 def stanley_sum(lam: Sequence[int]) -> Polynomial:
@@ -288,28 +299,24 @@ def stanley_sum(lam: Sequence[int]) -> Polynomial:
     Sums 2^special * x^weight over strict patterns with top row lam
     itself (no staircase shift).
     """
-    lam = check_partition(lam, strict=True)
-    n = len(lam)
-    acc: dict[Monomial, int] = {}
-    for pattern in enumerate_patterns(lam, strict=True):
-        _, _, special = pattern.leaning_counts()
-        key = pattern.weight() + (0, 0)
-        acc[key] = acc.get(key, 0) + 2 ** special
-    return Polynomial(n, acc)
+    return _transfer(check_partition(lam, strict=True), _stanley_weight)
 
 
-def _admits_filtered(pattern: GtPattern) -> bool:
+def _admits_filtered(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
     # Reject any left-equal entry, and any adjacent pair where the first
     # entry sits on its upper-right parent and the second is one below its
     # upper-left parent.
-    for upper, lower in zip(pattern.rows, pattern.rows[1:]):
-        labels = [entry_labels(upper, lower, k) for k in range(len(lower))]
-        if any(lbl.left == LEFT for lbl in labels):
-            return False
-        for k in range(len(labels) - 1):
-            if labels[k].right == RIGHT and labels[k + 1].left == ALMOST_LEFT:
-                return False
-    return True
+    labels = [entry_labels(upper, lower, k) for k in range(len(lower))]
+    return all(lbl.left != LEFT for lbl in labels) and not any(
+        a.right == RIGHT and b.left == ALMOST_LEFT for a, b in zip(labels, labels[1:])
+    )
+
+
+def _filtered_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
+    if not _admits_filtered(upper, lower):
+        return _ZERO
+    coeff = prod((diagonal_weight(upper, lower, k) for k in range(len(lower))), start=_ONE)
+    return coeff.substitute("q", 0).substitute("t", -1)
 
 
 def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:
@@ -317,21 +324,9 @@ def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:
 
     Sums the product of all diagonal entry weights, evaluated at q = 0 and
     t = -1, times x^weight, over strict patterns with top row
-    lam + staircase that survive the filter of :func:`_admits_filtered`.
+    lam + staircase whose every row pair passes :func:`_admits_filtered`.
     """
-    lam = check_partition(lam)
-    n = len(lam)
-    acc: dict[Monomial, int] = {}
-    for pattern in enumerate_patterns(add_staircase(lam), strict=True):
-        if not _admits_filtered(pattern):
-            continue
-        coeff = _ONE
-        for upper, lower in zip(pattern.rows, pattern.rows[1:]):
-            for k in range(len(lower)):
-                coeff = coeff * diagonal_weight(upper, lower, k)
-        coeff = coeff.substitute("q", 0).substitute("t", -1)
-        _accumulate(acc, coeff, pattern.weight())
-    return Polynomial(n, acc)
+    return _transfer(add_staircase(check_partition(lam)), _filtered_weight)
 
 
 def clear_caches() -> None:

@@ -1,8 +1,17 @@
-"""Shared test utilities: independent determinant oracle and tuple grids."""
+"""Shared test utilities: independent determinant and pattern-sum oracles, tuple grids."""
 
 from itertools import combinations
 
-from hlgt import Polynomial, constant, diagonal_weight, subdiagonal_weight
+from hlgt import (
+    Polynomial,
+    constant,
+    diagonal_weight,
+    entry_labels,
+    enumerate_patterns,
+    parameter,
+    subdiagonal_weight,
+)
+from hlgt.patterns import ALMOST_LEFT, LEFT, RIGHT
 
 
 def laplace_det(matrix):
@@ -45,3 +54,52 @@ def strict_tuples(length, max_part):
 def coeff_sum(poly):
     """Value of an x-only polynomial at x_1 = ... = x_n = 1."""
     return sum(c for _, c in poly.terms())
+
+
+def pattern_sum_reference(top, pair_weight):
+    """Sum over strict patterns with top row ``top``, one pattern at a time.
+
+    Each pattern contributes the product of ``pair_weight(upper, lower)``
+    (a q,t polynomial) over its consecutive row pairs, times x^weight.
+    """
+    acc = {}
+    for pattern in enumerate_patterns(top, strict=True):
+        coeff = constant(1, 0)
+        for upper, lower in zip(pattern.rows, pattern.rows[1:]):
+            coeff = coeff * pair_weight(upper, lower)
+        for mono, c in coeff.terms():
+            key = pattern.weight() + mono
+            acc[key] = acc.get(key, 0) + c
+    return Polynomial(len(top), acc)
+
+
+def _left_special(upper, lower):
+    labels = [entry_labels(upper, lower, k) for k in range(len(lower))]
+    left = sum(lbl.left == LEFT for lbl in labels)
+    special = sum(lbl.left != LEFT and lbl.right != RIGHT for lbl in labels)
+    return left, special
+
+
+def tokuyama_pair_weight(upper, lower):
+    """(-q)^left * (1-q)^special of one row pair."""
+    q = parameter("q", 0)
+    left, special = _left_special(upper, lower)
+    return (-q) ** left * (1 - q) ** special
+
+
+def stanley_pair_weight(upper, lower):
+    """2^special of one row pair."""
+    return constant(2 ** _left_special(upper, lower)[1], 0)
+
+
+def filtered_pair_weight(upper, lower):
+    """Diagonal-weight product at q = 0, t = -1, or 0 when the pair is filtered out."""
+    labels = [entry_labels(upper, lower, k) for k in range(len(lower))]
+    if any(lbl.left == LEFT for lbl in labels):
+        return Polynomial.zero(0)
+    if any(a.right == RIGHT and b.left == ALMOST_LEFT for a, b in zip(labels, labels[1:])):
+        return Polynomial.zero(0)
+    coeff = constant(1, 0)
+    for k in range(len(lower)):
+        coeff = coeff * diagonal_weight(upper, lower, k)
+    return coeff.substitute("q", 0).substitute("t", -1)

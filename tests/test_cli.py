@@ -164,6 +164,13 @@ def test_verify_rejects_n_beyond_cap(capsys):
     assert "cap" in err
 
 
+def test_verify_rejects_negative_max_part(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--max-part", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-part must be nonnegative" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         formulas, "tokuyama_sum", lambda lam: Polynomial.zero(len(lam))
@@ -202,6 +209,47 @@ def test_bench_rejects_bad_sizes(capsys):
     assert "cap" in err
     code, _, err = run(capsys, "bench", "--n", "2", "--repeats", "0")
     assert code == 2
+
+
+def test_bench_rejects_negative_max_part(capsys):
+    code, out, err = run(capsys, "bench", "--n", "2", "--max-part", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-part must be nonnegative" in err
+
+
+def test_bench_fails_when_routes_differ(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        formulas, "hl_pattern_expansion", lambda lam: Polynomial.zero(len(lam))
+    )
+    target = tmp_path / "bench.csv"
+    code, out, err = run(
+        capsys, "bench", "--n", "2", "--max-part", "1", "--repeats", "1",
+        "--out", str(target),
+    )
+    assert code == 1
+    assert "differ" in err
+    assert out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compute", "--lambda", "1,x", "--mode", "oracle"), "comma-separated list of integers"),
+    (("patterns", "--top", "2,-1"), "parts must be nonnegative"),
+    (("bench", "--n", "2,,3"), "comma-separated list of integers"),
+])
+def test_list_arguments_keep_their_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_size_below_one_is_its_own_usage_error(capsys):
+    # --n parses negative sizes; bench itself then rejects them
+    code, _, err = run(capsys, "bench", "--n", "-1", "--repeats", "1")
+    assert code == 2
+    assert "--n sizes must be at least 1" in err
 
 
 # ----------------------------------------------------------------------

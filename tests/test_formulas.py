@@ -1,8 +1,8 @@
 import pytest
 
-from hlgt import formulas, oracle
+from hlgt import formulas, oracle, patterns
 from hlgt.polyring import Polynomial, constant, generators, monomial, parameter
-from hlgt.patterns import GtPattern, add_staircase, next_rows
+from hlgt.patterns import GtPattern, add_staircase, next_rows, weakly_decreasing_tuples
 from hlgt.formulas import (
     elementary_raise,
     hl_pattern_expansion,
@@ -17,7 +17,15 @@ from hlgt.formulas import (
     transition_det,
 )
 
-from helpers import laplace_det, strict_tuples, tridiagonal_matrix
+from helpers import (
+    filtered_pair_weight,
+    laplace_det,
+    pattern_sum_reference,
+    stanley_pair_weight,
+    strict_tuples,
+    tokuyama_pair_weight,
+    tridiagonal_matrix,
+)
 
 ONE = constant(1, 0)
 Q = parameter("q", 0)
@@ -214,3 +222,58 @@ def test_clear_caches_runs():
     transition_det((3, 1, 0), (2, 0))
     formulas.clear_caches()
     assert transition_det((3, 1, 0), (2, 0)) == ONE - Q + T - Q * T + Q * T ** 2
+
+
+# ----------------------------------------------------------------------
+# row-transfer engine against the per-pattern sum
+
+ENGINE_GRID = [
+    lam for n in range(1, 5) for lam in weakly_decreasing_tuples(n, 2)
+] + [(1, 1, 0, 0, 0), (2, 1, 0, 0, 0)]
+
+# name -> (pattern sum over top row lam + staircase, its pair weight);
+# stanley_sum uses its strict argument itself as the top row.
+ENGINE_ROUTES = {
+    "hl": (hl_pattern_expansion, row_weight_sum),
+    "tokuyama": (tokuyama_sum, tokuyama_pair_weight),
+    "stanley": (lambda lam: stanley_sum(add_staircase(lam)), stanley_pair_weight),
+    "filtered": (stanley_filtered_sum, filtered_pair_weight),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))
+@pytest.mark.parametrize("lam", ENGINE_GRID, ids=lambda lam: ",".join(map(str, lam)))
+def test_pattern_sums_match_per_pattern_reference(route, lam):
+    evaluate, pair_weight = ENGINE_ROUTES[route]
+    assert evaluate(lam) == pattern_sum_reference(add_staircase(lam), pair_weight)
+
+
+@pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))
+def test_pattern_sums_repeat_exactly(route):
+    evaluate, _ = ENGINE_ROUTES[route]
+    lam = (2, 1, 1, 0)
+    first = evaluate(lam)
+    assert evaluate(lam) == first
+    formulas.clear_caches()
+    assert evaluate(lam) == first
+
+
+def test_filter_is_a_row_pair_predicate():
+    assert formulas._admits_filtered((4, 2, 0), (3, 1))
+    assert not formulas._admits_filtered((4, 2, 0), (4, 1))  # left-equal entry
+    # 2 sits on its upper-right parent, 1 one below its upper-left parent
+    assert not formulas._admits_filtered((4, 2, 0), (2, 1))
+
+
+def test_clear_caches_empties_every_cache():
+    hl_pattern_expansion((2, 1, 0))
+    stanley_filtered_sum((2, 1, 0))
+    caches = [
+        value
+        for module in (formulas, patterns)
+        for value in vars(module).values()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    ]
+    assert caches and any(cache.cache_info().currsize for cache in caches)
+    formulas.clear_caches()
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
