@@ -179,17 +179,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     for n in args.n_list:
         for lam in weakly_decreasing_tuples(n, args.part_max):
-            oracle_s, product = _timed(
-                lambda lam=lam, n=n: oracle.weyl_denominator(n, "q")
-                * oracle.hall_littlewood(lam),
-                args.repeats,
-            )
+            # Each route starts from empty caches (determinants, closures,
+            # Weyl denominators) so repeats measure real work.
+            def oracle_product(lam=lam, n=n):
+                formulas.clear_caches()
+                return oracle.weyl_denominator(n, "q") * oracle.hall_littlewood(lam)
 
             def closed(lam=lam):
-                # Clear memoized determinants so repeats measure real work.
                 formulas.clear_caches()
                 return formulas.hl_pattern_expansion(lam)
 
+            oracle_s, product = _timed(oracle_product, args.repeats)
             closed_s, expansion = _timed(closed, args.repeats)
             if expansion != product:
                 print(f"error: closed and oracle routes differ for lambda={lam}",
@@ -273,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except oracle.OracleCapError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

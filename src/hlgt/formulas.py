@@ -330,7 +330,8 @@ def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:
 
 
 def clear_caches() -> None:
-    """Drop all memoized determinants and closures (benchmark hygiene)."""
+    """Drop all memoized determinants, closures and Weyl denominators (benchmark hygiene)."""
     raising_closure.cache_clear()
     _det_recurrence.cache_clear()
     _clear_pattern_caches()
+    oracle._weyl_denominator.cache_clear()

@@ -1,9 +1,9 @@
 """Brute-force reference implementations of the symmetric polynomials.
 
-Everything here works straight from the defining formulas: enumerate all
+Everything here works straight from the defining formulas: sum over all
 n! permutations, antisymmetrize, and divide exactly by the Vandermonde
-product.  The module exists to be obviously correct, not fast; the
-formula evaluators in :mod:`hlgt.formulas` are checked against it.
+product.  The module exists to be obviously correct; the formula
+evaluators in :mod:`hlgt.formulas` are checked against it.
 
 ``hall_littlewood`` computes the unnormalized polynomial
 
@@ -16,6 +16,15 @@ No stabilizing prefactor is applied, so hall_littlewood((0, 0)) is 1 + t,
 and specializing t to 0 / 1 / -1 yields the Schur polynomial, the
 monomial orbit sum, and the Schur q-polynomial respectively.
 
+The numerator is antisymmetrized over orbit representatives rather than
+by adding n! permuted copies.  A term whose x-exponents repeat has a
+signed orbit sum of zero and is dropped; every other term is sorted into
+decreasing x-exponents and its coefficient, times the sign of the sort,
+is collected on that representative.  Each representative is then
+expanded once over S_n into the full alternant.  ``schur`` (one
+representative, lam + staircase) and ``monomial_symmetric`` (the plain
+orbit of lam) use the same expansion.
+
 The n! enumeration is capped (default 6 variables); set the environment
 variable GT_ORACLE_NMAX to raise or lower the cap.
 """
@@ -23,14 +32,20 @@ variable GT_ORACLE_NMAX to raise or lower the cap.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from itertools import permutations
-from typing import Sequence
+from math import factorial
+from typing import Mapping, Sequence
 
-from .polyring import Monomial, Polynomial, permutation_sign
+from .polyring import Monomial, Polynomial, monomial, permutation_sign
 from .patterns import add_staircase, check_partition
 
 DEFAULT_MAX_VARS = 6
 _ENV_CAP = "GT_ORACLE_NMAX"
+
+
+class OracleCapError(ValueError):
+    """The n! safety cap refuses an input, or GT_ORACLE_NMAX is not an integer."""
 
 
 def max_oracle_vars() -> int:
@@ -40,13 +55,13 @@ def max_oracle_vars() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
+        raise OracleCapError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 def _check_cap(n: int) -> None:
     cap = max_oracle_vars()
     if n > cap:
-        raise ValueError(
+        raise OracleCapError(
             f"{n} variables exceeds the n! safety cap ({cap}); "
             f"set {_ENV_CAP} to override"
         )
@@ -56,6 +71,11 @@ def weyl_denominator(n: int, deform: str | None = None) -> Polynomial:
     """prod_{i<j} (x_i - p*x_j) with p = 1 (deform=None), q, or t."""
     if deform not in (None, "q", "t"):
         raise ValueError(f"deform must be None, 'q' or 't', got {deform!r}")
+    return _weyl_denominator(n, deform)
+
+
+@lru_cache(maxsize=None)
+def _weyl_denominator(n: int, deform: str | None) -> Polynomial:
     acc = Polynomial.one(n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -71,9 +91,39 @@ def weyl_denominator(n: int, deform: str | None = None) -> Polynomial:
     return acc
 
 
-def _monomial_poly(exps: Sequence[int]) -> Polynomial:
-    exps = tuple(exps)
-    return Polynomial(len(exps), {exps + (0, 0): 1})
+def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Sequence[int]) -> Polynomial:
+    """sum over sigma in S_n of weights[sigma] * sigma(term), over the terms of reps.
+
+    ``weights`` holds one weight per permutation, in the order of
+    ``itertools.permutations(range(n))``.  Zero coefficients in reps are
+    skipped; the orbits of the other terms must not cancel each other.
+    """
+    out: dict[Monomial, int] = {}
+    for mono, coeff in reps.items():
+        if not coeff:
+            continue
+        xs, rest = mono[:n], mono[n:]
+        # permutations(xs) yields (xs[p[0]], ..., xs[p[n-1]]): the image of
+        # the term under the inverse of p, whose sign is p's.
+        for image, weight in zip(permutations(xs), weights):
+            key = image + rest
+            out[key] = out.get(key, 0) + weight * coeff
+    return Polynomial._raw(n, out)
+
+
+def _alternant(terms: Mapping[Monomial, int], n: int) -> Polynomial:
+    """sum over sigma in S_n of sign(sigma) * sigma(terms), via orbit representatives."""
+    reps: dict[Monomial, int] = {}
+    for mono, coeff in terms.items():
+        xs = mono[:n]
+        if len(set(xs)) < n:
+            continue  # a transposition fixes the term and flips its sign
+        order = sorted(range(n), key=xs.__getitem__, reverse=True)
+        key = tuple(xs[k] for k in order) + mono[n:]
+        reps[key] = reps.get(key, 0) + permutation_sign(order) * coeff
+    # Representatives with strictly decreasing x-exponents have disjoint orbits.
+    signs = [permutation_sign(sigma) for sigma in permutations(range(n))]
+    return _orbit_sum(reps, n, signs)
 
 
 def _divide_vandermonde(p: Polynomial) -> Polynomial:
@@ -91,15 +141,7 @@ def schur(lam: Sequence[int]) -> Polynomial:
     lam = check_partition(lam)
     n = len(lam)
     _check_cap(n)
-    alpha = add_staircase(lam)
-    num: dict[Monomial, int] = {}
-    for sigma in permutations(range(n)):
-        exps = [0] * n
-        for i in range(n):
-            exps[sigma[i]] = alpha[i]
-        key = tuple(exps) + (0, 0)
-        num[key] = num.get(key, 0) + permutation_sign(sigma)
-    return _divide_vandermonde(Polynomial(n, num))
+    return _divide_vandermonde(_alternant({add_staircase(lam) + (0, 0): 1}, n))
 
 
 def hall_littlewood(kappa: Sequence[int]) -> Polynomial:
@@ -114,12 +156,8 @@ def hall_littlewood(kappa: Sequence[int]) -> Polynomial:
         raise ValueError(f"parts must be nonnegative integers: {kappa!r}")
     n = len(kappa)
     _check_cap(n)
-    base = _monomial_poly(kappa) * weyl_denominator(n, "t")
-    num = Polynomial.zero(n)
-    for sigma in permutations(range(n)):
-        image = base.permuted(sigma)
-        num = num + (image if permutation_sign(sigma) == 1 else -image)
-    return _divide_vandermonde(num)
+    base = monomial(1, kappa) * weyl_denominator(n, "t")
+    return _divide_vandermonde(_alternant(base._terms, n))
 
 
 def monomial_symmetric(lam: Sequence[int]) -> Polynomial:
@@ -127,11 +165,4 @@ def monomial_symmetric(lam: Sequence[int]) -> Polynomial:
     lam = check_partition(lam)
     n = len(lam)
     _check_cap(n)
-    acc: dict[Monomial, int] = {}
-    for sigma in permutations(range(n)):
-        exps = [0] * n
-        for i in range(n):
-            exps[sigma[i]] = lam[i]
-        key = tuple(exps) + (0, 0)
-        acc[key] = acc.get(key, 0) + 1
-    return Polynomial(n, acc)
+    return _orbit_sum({lam + (0, 0): 1}, n, [1] * factorial(n))

@@ -235,34 +235,32 @@ class Polynomial:
             raise ValueError(f"invalid variable pair ({i}, {j}) for {n} variables")
         if not self._terms:
             return self
-        # Collect coefficients of powers of x_i; keys have the x_i slot zeroed.
-        by_deg: dict[int, dict[Monomial, int]] = {}
-        for mono, coeff in self._terms.items():
-            stripped = mono[:i] + (0,) + mono[i + 1:]
-            by_deg.setdefault(mono[i], {})[stripped] = coeff
-        deg = max(by_deg)
-
-        def times_xj(layer: dict[Monomial, int]) -> dict[Monomial, int]:
-            return {m[:j] + (m[j] + 1,) + m[j + 1:]: c for m, c in layer.items()}
-
-        def merged(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-            out = dict(a)
-            for m, c in b.items():
-                total = out.get(m, 0) + c
-                if total:
-                    out[m] = total
-                elif m in out:
-                    del out[m]
-            return out
-
+        # Horner's rule in x_i, highest degree first, on one remainder: the
+        # term c*x_i^k*r moves to the quotient as c*x_i^(k-1)*r and leaves
+        # c*x_i^(k-1)*x_j*r one degree lower.  levels[k] lists the remainder
+        # keys of x_i-degree k, including those created from degree k + 1.
+        remainder = dict(self._terms)
+        levels: dict[int, list[Monomial]] = {}
+        for mono in remainder:
+            levels.setdefault(mono[i], []).append(mono)
         quotient: dict[Monomial, int] = {}
-        carry: dict[Monomial, int] = {}
-        for k in range(deg, 0, -1):
-            carry = merged(by_deg.get(k, {}), times_xj(carry))
-            for m, c in carry.items():
-                quotient[m[:i] + (k - 1,) + m[i + 1:]] = c
-        remainder = merged(by_deg.get(0, {}), times_xj(carry))
-        if remainder:
+        for k in range(max(levels), 0, -1):
+            lower = levels.setdefault(k - 1, [])
+            for mono in levels[k]:
+                c = remainder.pop(mono)
+                if not c:  # cancelled by a term carried down from degree k + 1
+                    continue
+                exps = list(mono)
+                exps[i] = k - 1
+                quotient[tuple(exps)] = c
+                exps[j] += 1
+                moved = tuple(exps)
+                if moved in remainder:
+                    remainder[moved] += c
+                else:
+                    remainder[moved] = c
+                    lower.append(moved)
+        if any(remainder.values()):
             raise ArithmeticError(
                 f"(x{i + 1} - x{j + 1}) does not divide exactly; "
                 "antisymmetry invariant broken upstream"

@@ -1,6 +1,6 @@
-"""Shared test utilities: independent determinant and pattern-sum oracles, tuple grids."""
+"""Shared test utilities: independent determinant, pattern-sum and alternant oracles, tuple grids."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hlgt import (
     Polynomial,
@@ -8,10 +8,24 @@ from hlgt import (
     diagonal_weight,
     entry_labels,
     enumerate_patterns,
+    monomial,
     parameter,
+    permutation_sign,
     subdiagonal_weight,
+    weyl_denominator,
 )
 from hlgt.patterns import ALMOST_LEFT, LEFT, RIGHT
+
+
+def literal_numerator(kappa):
+    """sum over sigma in S_n of sign(sigma) * sigma(x^kappa * prod_{i<j}(x_i - t x_j)), copy by copy."""
+    n = len(kappa)
+    base = monomial(1, kappa) * weyl_denominator(n, "t")
+    num = Polynomial.zero(n)
+    for sigma in permutations(range(n)):
+        image = base.permuted(sigma)
+        num = num + (image if permutation_sign(sigma) == 1 else -image)
+    return num
 
 
 def laplace_det(matrix):

@@ -63,6 +63,13 @@ def test_compute_rejects_negative_parts(capsys):
     assert excinfo.value.code == 2
 
 
+def test_compute_beyond_oracle_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "compute", "--lambda", "1,1,1,1,1,1,1", "--mode", "oracle")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "safety cap" in err
+
+
 def test_compute_out_file(tmp_path, capsys):
     target = tmp_path / "poly.txt"
     code, out, _ = run(
@@ -171,6 +178,14 @@ def test_verify_rejects_negative_max_part(capsys):
     assert "--max-part must be nonnegative" in err
 
 
+def test_verify_rejects_garbage_oracle_cap(capsys, monkeypatch):
+    monkeypatch.setenv("GT_ORACLE_NMAX", "lots")
+    code, out, err = run(capsys, "verify", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "GT_ORACLE_NMAX must be an integer" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         formulas, "tokuyama_sum", lambda lam: Polynomial.zero(len(lam))
@@ -216,6 +231,14 @@ def test_bench_rejects_negative_max_part(capsys):
     assert code == 2
     assert out == ""
     assert "--max-part must be nonnegative" in err
+
+
+def test_bench_rejects_garbage_oracle_cap(capsys, monkeypatch):
+    monkeypatch.setenv("GT_ORACLE_NMAX", "lots")
+    code, out, err = run(capsys, "bench", "--n", "2", "--repeats", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "GT_ORACLE_NMAX must be an integer" in err
 
 
 def test_bench_fails_when_routes_differ(tmp_path, capsys, monkeypatch):

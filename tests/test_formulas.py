@@ -268,12 +268,14 @@ def test_filter_is_a_row_pair_predicate():
 def test_clear_caches_empties_every_cache():
     hl_pattern_expansion((2, 1, 0))
     stanley_filtered_sum((2, 1, 0))
+    hl_row_recursion((2, 1, 0))
     caches = [
         value
-        for module in (formulas, patterns)
+        for module in (formulas, patterns, oracle)
         for value in vars(module).values()
         if hasattr(value, "cache_info") and value.__module__ == module.__name__
     ]
     assert caches and any(cache.cache_info().currsize for cache in caches)
+    assert oracle._weyl_denominator.cache_info().currsize
     formulas.clear_caches()
     assert all(cache.cache_info().currsize == 0 for cache in caches)

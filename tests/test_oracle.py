@@ -4,16 +4,17 @@ import pytest
 
 from hlgt import oracle
 from hlgt.oracle import (
+    OracleCapError,
     hall_littlewood,
     max_oracle_vars,
     monomial_symmetric,
     schur,
     weyl_denominator,
 )
-from hlgt.polyring import Polynomial, generators, monomial, permutation_sign
+from hlgt.polyring import Polynomial, generators, monomial
 from hlgt.patterns import enumerate_patterns, staircase, weakly_decreasing_tuples
 
-from helpers import coeff_sum
+from helpers import coeff_sum, literal_numerator
 
 
 def test_weyl_denominator_two_vars():
@@ -107,28 +108,35 @@ def test_schur_at_ones_counts_patterns():
 
 
 def test_antisymmetrized_numerator_flips_sign_under_transpositions():
-    # rebuilt here from the definition, independently of the oracle internals
+    # rebuilt from the definition, independently of the oracle internals
     kappa = (2, 1, 0)
     n = len(kappa)
-    base = monomial(1, kappa) * weyl_denominator(n, "t")
-    num = Polynomial.zero(n)
-    for sigma in permutations(range(n)):
-        image = base.permuted(sigma)
-        num = num + (image if permutation_sign(sigma) == 1 else -image)
+    num = literal_numerator(kappa)
     for i in range(n - 1):
         swap = list(range(n))
         swap[i], swap[i + 1] = swap[i + 1], swap[i]
         assert num.permuted(swap) == -num
 
 
+LITERAL_CASES = [
+    kappa for n in (1, 2, 3, 4) for kappa in weakly_decreasing_tuples(n, 2)
+] + [(0, 2, 1), (1, 1, 2), (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("kappa", LITERAL_CASES, ids=str)
+def test_hall_littlewood_matches_literal_definition(kappa):
+    # n! permuted copies added with their signs, then the Vandermonde division
+    assert hall_littlewood(kappa) == oracle._divide_vandermonde(literal_numerator(kappa))
+
+
 def test_oracle_cap(monkeypatch):
     monkeypatch.setenv("GT_ORACLE_NMAX", "2")
     assert max_oracle_vars() == 2
-    with pytest.raises(ValueError, match="safety cap"):
+    with pytest.raises(OracleCapError, match="safety cap"):
         hall_littlewood((1, 0, 0))
-    with pytest.raises(ValueError, match="safety cap"):
+    with pytest.raises(OracleCapError, match="safety cap"):
         schur((1, 0, 0))
-    with pytest.raises(ValueError, match="safety cap"):
+    with pytest.raises(OracleCapError, match="safety cap"):
         monomial_symmetric((1, 0, 0))
     monkeypatch.setenv("GT_ORACLE_NMAX", "3")
     assert hall_littlewood((1, 0, 0)).substitute("t", 0) == schur((1, 0, 0))
@@ -136,8 +144,9 @@ def test_oracle_cap(monkeypatch):
 
 def test_oracle_cap_rejects_garbage(monkeypatch):
     monkeypatch.setenv("GT_ORACLE_NMAX", "lots")
-    with pytest.raises(ValueError):
+    with pytest.raises(OracleCapError):
         max_oracle_vars()
+    assert issubclass(OracleCapError, ValueError)
 
 
 def test_default_cap():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlgt.oracle import _divide_vandermonde, hall_littlewood
 from hlgt.polyring import (
     Polynomial,
     constant,
@@ -10,6 +11,8 @@ from hlgt.polyring import (
     permutation_sign,
     variable,
 )
+
+from helpers import literal_numerator
 
 
 def ring(n):
@@ -200,16 +203,36 @@ def test_divide_nonexact_is_fatal():
         (xs[0] + 1).divide_by_diff(0, 1)
 
 
+def test_divide_nonexact_when_only_degree_zero_survives():
+    # the x_i^2 and x_i^1 layers carry down and cancel the -x_j^2 term,
+    # so the remainder is the lone x_k of x_i-degree 0
+    xs, _, _ = ring(3)
+    with pytest.raises(ArithmeticError, match="antisymmetry"):
+        (xs[0] ** 2 - xs[1] ** 2 + xs[2]).divide_by_diff(0, 1)
+    with pytest.raises(ArithmeticError, match="antisymmetry"):
+        (xs[2] ** 2 - xs[0] ** 2 + xs[1]).divide_by_diff(2, 0)
+
+
+def test_perturbed_alternant_is_not_divisible():
+    num = literal_numerator((2, 1, 0))
+    assert _divide_vandermonde(num) == hall_littlewood((2, 1, 0))
+    for mono, _ in num.terms():
+        bumped = num + monomial(1, mono[:3], mono[3], mono[4])
+        with pytest.raises(ArithmeticError, match="antisymmetry"):
+            _divide_vandermonde(bumped)
+
+
 def test_divide_invalid_pair():
     with pytest.raises(ValueError):
         variable(0, 2).divide_by_diff(0, 0)
 
 
-@settings(max_examples=40)
-@given(polynomials(3))
-def test_multiply_then_divide_round_trip(p):
+@settings(max_examples=120)
+@given(polynomials(3), st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]))
+def test_multiply_then_divide_round_trip(p, pair):
     xs, _, _ = ring(3)
-    assert (p * (xs[0] - xs[2])).divide_by_diff(0, 2) == p
+    i, j = pair
+    assert (p * (xs[i] - xs[j])).divide_by_diff(i, j) == p
 
 
 # ----------------------------------------------------------------------
