@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import time
+from math import prod
 from typing import Sequence
 
 from . import formulas, oracle, verify
@@ -79,6 +80,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pattern_stats(pattern) -> tuple[list[Polynomial], Polynomial]:
+    """The row weights of a strict pattern and their product, its coefficient."""
+    weights = formulas.pattern_row_weights(pattern)
+    return weights, prod(weights, start=Polynomial.one(0))
+
+
 def _pattern_record(pattern, with_stats: bool) -> dict:
     left, right, special = pattern.leaning_counts()
     record = {
@@ -89,10 +96,7 @@ def _pattern_record(pattern, with_stats: bool) -> dict:
         "special": special,
     }
     if with_stats:
-        weights = formulas.pattern_row_weights(pattern)
-        coeff = Polynomial.one(0)
-        for w in weights:
-            coeff = coeff * w
+        weights, coeff = _pattern_stats(pattern)
         record["row_weights"] = [w.to_dict() for w in weights]
         record["coefficient"] = coeff.to_dict()
     return record
@@ -120,11 +124,8 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         lines.append(f"  m = {pattern.weight()}")
         lines.append(f"  leaning: left={left} right={right} special={special}")
         if args.stats:
-            weights = formulas.pattern_row_weights(pattern)
-            coeff = Polynomial.one(0)
-            for i, w in enumerate(weights, start=1):
-                coeff = coeff * w
-                lines.append(f"  row {i} weight: {w}")
+            weights, coeff = _pattern_stats(pattern)
+            lines.extend(f"  row {i} weight: {w}" for i, w in enumerate(weights, start=1))
             lines.append(f"  coefficient: {coeff}")
     _emit("\n".join(lines), args.out)
     return 0

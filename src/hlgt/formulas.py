@@ -33,8 +33,9 @@ transfer-matrix view of Tokuyama-type formulas).  The edge weights:
 (-q)^left * (1-q)^special; ``stanley_sum`` 2^special, with top row lam
 itself; ``stanley_filtered_sum`` the product of the lower row's diagonal
 weights at q = 0, t = -1, or 0 if the pair fails its row-local filter.
-``hl_row_recursion`` and ``tokuyama_row_recursion`` take one step instead,
-with the smaller factor from the brute-force oracle.
+``hl_row_recursion`` and ``tokuyama_row_recursion`` take one step of the
+same engine under the top row, with F(mu) = v_{n-1}(x;q) * inner(mu -
+staircase) from the brute-force oracle, and so obey the oracle's cap on n.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .patterns import (
     GtPattern,
     add_staircase,
     check_partition,
-    clear_caches as _clear_pattern_caches,
     diagonal_weight,
     entry_labels,
     interleaves,
@@ -180,6 +180,38 @@ def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
 # ----------------------------------------------------------------------
 # pattern sums
 
+def _row_step(row: tuple[int, ...], edges, below: dict) -> dict:
+    """Sum over edges (mu, weight) of weight * x_k^(|row| - |mu|) * below[mu].
+
+    Each F is nested as {x-exponents of the last len(row) variables:
+    {(q, t): coeff}}; the result is F(row) in the same form.
+    """
+    out: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for mu, weight in edges:
+        w_terms = weight._terms.items()
+        drop = (sum(row) - sum(mu),)
+        for xs, qt in below[mu].items():
+            acc = out.setdefault(drop + xs, {})
+            for (wq, wt), wc in w_terms:
+                for (q, t), c in qt.items():
+                    key = (q + wq, t + wt)
+                    acc[key] = acc.get(key, 0) + wc * c
+    return {xs: kept for xs, qt in out.items()
+            if (kept := {key: c for key, c in qt.items() if c})}
+
+
+def _nest(poly: Polynomial) -> dict:
+    nested: dict = {}
+    for mono, c in poly._terms.items():
+        nested.setdefault(mono[:-2], {})[mono[-2:]] = c
+    return nested
+
+
+def _flatten(n_vars: int, nested: dict) -> Polynomial:
+    return Polynomial._raw(n_vars, {xs + key: c for xs, qt in nested.items()
+                                    for key, c in qt.items()})
+
+
 def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
     """F(top) of the row transfer in the module docstring, one row length at a time."""
     # Top down: the rows of each length reachable through nonzero weights,
@@ -190,27 +222,11 @@ def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
             levels[-1][row] = [(mu, w) for mu in next_rows(row)
                                if is_strictly_decreasing(mu) and (w := edge_weight(row, mu))]
         levels.append(dict.fromkeys(mu for edges in levels[-1].values() for mu, _ in edges))
-    # Bottom up, holding F for two row lengths at a time, each F as
-    # {x-exponents of the last len(row) variables: {(q, t): coeff}}.
+    # Bottom up, holding F for two row lengths at a time.
     below = {row: {row: {(0, 0): 1}} for row in levels.pop()}
     while levels:
-        here = {}
-        for row, edges in levels.pop().items():
-            out: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-            for mu, weight in edges:
-                w_terms = weight._terms.items()
-                drop = (sum(row) - sum(mu),)
-                for xs, qt in below[mu].items():
-                    acc = out.setdefault(drop + xs, {})
-                    for (wq, wt), wc in w_terms:
-                        for (q, t), c in qt.items():
-                            key = (q + wq, t + wt)
-                            acc[key] = acc.get(key, 0) + wc * c
-            here[row] = {xs: kept for xs, qt in out.items()
-                         if (kept := {key: c for key, c in qt.items() if c})}
-        below = here
-    terms = {xs + key: c for xs, qt in below[top].items() for key, c in qt.items()}
-    return Polynomial._raw(len(top), terms)
+        below = {row: _row_step(row, edges, below) for row, edges in levels.pop().items()}
+    return _flatten(len(top), below[top])
 
 
 def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
@@ -244,24 +260,20 @@ def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
 
 
 def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
-    # Sum over next rows mu under alpha of weight(alpha, mu) * x_1^(|alpha| - |mu|)
-    # * v_{n-1}(x;q) * inner(mu - staircase), the oracle factors on x_2..x_n.
+    # One _row_step under alpha = lam + staircase, with the oracle's
+    # F(mu) = v_{n-1}(x;q) * inner(mu - staircase) and the oracle's cap on n.
     lam = check_partition(lam)
     n = len(lam)
+    oracle._check_cap(n)
     alpha = add_staircase(lam)
     if n == 1:
         return Polynomial(1, {(alpha[0], 0, 0): 1})
     rho = staircase(n - 1)
-    x1 = Polynomial(n, {(1,) + (0,) * (n + 1): 1})
-    total = Polynomial.zero(n)
-    for mu in next_rows(alpha):
-        coeff = weight(alpha, mu)
-        if not coeff:
-            continue
-        shifted_parts = tuple(m - r for m, r in zip(mu, rho))
-        factor = oracle.weyl_denominator(n - 1, "q") * inner(shifted_parts)
-        total = total + coeff.with_vars(n) * x1 ** (sum(alpha) - sum(mu)) * factor.shift_vars(0, n)
-    return total
+    vq = oracle.weyl_denominator(n - 1, "q")
+    edges = [(mu, w) for mu in next_rows(alpha) if (w := weight(alpha, mu))]
+    below = {mu: _nest(vq * inner(tuple(m - r for m, r in zip(mu, rho))))
+             for mu, _ in edges}
+    return _flatten(n, _row_step(alpha, edges, below))
 
 
 def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
@@ -333,5 +345,4 @@ def clear_caches() -> None:
     """Drop all memoized determinants, closures and Weyl denominators (benchmark hygiene)."""
     raising_closure.cache_clear()
     _det_recurrence.cache_clear()
-    _clear_pattern_caches()
     oracle._weyl_denominator.cache_clear()

@@ -22,7 +22,6 @@ transition determinant used by the formula evaluators.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -160,10 +159,6 @@ class GtPattern:
         self.rows = rows
 
     @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @property
     def is_strict(self) -> bool:
         return all(is_strictly_decreasing(r) for r in self.rows)
 
@@ -265,12 +260,6 @@ def entry_labels(upper: Sequence[int], lower: Sequence[int], i: int) -> EntryLab
     return EntryLabels(left, right)
 
 
-def label_weight(label: str) -> Polynomial:
-    """The q,t factor attached to a refined label (zero for special)."""
-    return _LABEL_WEIGHT[label]
-
-
-@lru_cache(maxsize=None)
 def diagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], i: int) -> Polynomial:
     """Diagonal entry weight of lower[i] under upper, a polynomial in q and t.
 
@@ -290,7 +279,6 @@ def diagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], i: int) -> P
     return base + _LABEL_WEIGHT[left] + _LABEL_WEIGHT[right]
 
 
-@lru_cache(maxsize=None)
 def subdiagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], j: int) -> Polynomial:
     """Subdiagonal weight attached to upper[j], for 1 <= j <= len(upper) - 2.
 
@@ -302,9 +290,3 @@ def subdiagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], j: int) -
     right = entry_labels(upper, lower, j - 1).right
     left = entry_labels(upper, lower, j).left
     return _LABEL_WEIGHT[right] * _LABEL_WEIGHT[left]
-
-
-def clear_caches() -> None:
-    """Drop memoized entry weights (used by the benchmark harness)."""
-    diagonal_weight.cache_clear()
-    subdiagonal_weight.cache_clear()

@@ -72,10 +72,6 @@ class Polynomial:
     # ------------------------------------------------------------------
     # basic queries
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

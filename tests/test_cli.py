@@ -70,6 +70,20 @@ def test_compute_beyond_oracle_cap_is_a_usage_error(capsys):
     assert err.startswith("error: ") and "safety cap" in err
 
 
+def test_compute_recursive_beyond_oracle_cap_fails_fast(capsys, monkeypatch):
+    # The recursion's oracle factor has n - 1 variables, but the cap applies to n.
+    monkeypatch.setenv("GT_ORACLE_NMAX", "3")
+    code, out, err = run(capsys, "compute", "--lambda", "1,1,1,1", "--mode", "recursive")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "safety cap (3)" in err
+    monkeypatch.delenv("GT_ORACLE_NMAX")
+    code, out, err = run(capsys, "compute", "--lambda", "1,1,1,1,1,1,1", "--mode", "recursive")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "safety cap" in err
+
+
 def test_compute_out_file(tmp_path, capsys):
     target = tmp_path / "poly.txt"
     code, out, _ = run(
@@ -116,6 +130,15 @@ def test_patterns_json(capsys):
     records = json.loads(out)
     assert [r["rows"] for r in records] == [[[1, 0], [1]], [[1, 0], [0]]]
     assert all({"m", "left", "right", "special", "coefficient"} <= set(r) for r in records)
+    code, out, _ = run(
+        capsys, "patterns", "--top", "3,1,0", "--strict", "--stats", "--format", "json"
+    )
+    assert code == 0
+    for record in records + json.loads(out):
+        product = Polynomial.one(0)
+        for weight in record["row_weights"]:
+            product = product * Polynomial.from_dict(weight)
+        assert Polynomial.from_dict(record["coefficient"]) == product
 
 
 def test_patterns_rejects_bad_top(capsys):

@@ -160,7 +160,8 @@ def test_hl_row_recursion_two_vars():
 
 
 def test_hl_row_recursion_matches_oracle():
-    for lam in [(2,), (1, 1), (2, 0), (1, 0, 0), (2, 1, 0), (3, 1, 1)]:
+    for lam in [(2,), (1, 1), (2, 0), (1, 0, 0), (2, 1, 0), (3, 1, 1),
+                (1, 1, 0, 0, 0), (2, 1, 0, 0, 0)]:
         product = oracle.weyl_denominator(len(lam), "q") * oracle.hall_littlewood(lam)
         assert hl_row_recursion(lam) == product
 
@@ -189,7 +190,7 @@ def test_tokuyama_row_recursion():
     xs, q, _ = generators(2)
     assert tokuyama_row_recursion((0, 0)) == xs[0] - q * xs[1]
     assert tokuyama_row_recursion((0,)) == Polynomial.one(1)
-    for lam in [(2, 1, 0), (1, 1, 0), (3, 0)]:
+    for lam in [(2, 1, 0), (1, 1, 0), (3, 0), (1, 1, 0, 0, 0), (2, 1, 0, 0, 0)]:
         product = oracle.weyl_denominator(len(lam), "q") * oracle.schur(lam)
         assert tokuyama_row_recursion(lam) == product
 
