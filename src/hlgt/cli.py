@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from math import prod
@@ -134,10 +135,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         return _usage_error("--n must be at least 1")
-    if args.n_max > oracle.max_oracle_vars():
-        return _usage_error(
-            f"--n {args.n_max} exceeds the oracle cap ({oracle.max_oracle_vars()})"
-        )
+    oracle._check_cap(args.n_max)
     if args.part_max < 0:
         return _usage_error("--max-part must be nonnegative")
     report = verify.run_suite(args.suite, args.n_max, args.part_max)
@@ -168,11 +166,9 @@ def _timed(fn, repeats: int) -> tuple[float, Polynomial]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cap = oracle.max_oracle_vars()
     if any(n < 1 for n in args.n_list):
         return _usage_error("--n sizes must be at least 1")
-    if any(n > cap for n in args.n_list):
-        return _usage_error(f"--n sizes exceed the oracle cap ({cap})")
+    oracle._check_cap(max(args.n_list))
     if args.part_max < 0:
         return _usage_error("--max-part must be nonnegative")
     if args.repeats < 1:
@@ -278,6 +274,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except oracle.OracleCapError as exc:
         return _usage_error(str(exc))
+    except BrokenPipeError:
+        # The reader left: send the interpreter's final flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

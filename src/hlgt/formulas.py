@@ -4,14 +4,15 @@ The central object is the tridiagonal transition determinant attached to a
 strictly decreasing row alpha and a candidate next row mu: diagonal
 entries are the per-entry ``diagonal_weight`` values of mu under alpha,
 the superdiagonal is all ones, and the subdiagonal holds the
-``subdiagonal_weight`` values.  It is evaluated by the two-term top-row
-expansion
+``subdiagonal_weight`` values.  Both read only the label word of mu under
+alpha (its entries' labels, in order), so the determinant is memoized on
+that word and evaluated by the two-term top-row expansion
 
-    M(alpha; mu) = w(mu_1) * M(alpha', mu') - d(alpha_2) * M(alpha'', mu''),
+    M(word) = w(word_1) * M(word') - d(word_1, word_2) * M(word''),
 
-where a prime drops the first part, rather than by generic determinant
-code; the recursion bottoms out at 1 for a single-part alpha, and the
-determinant is 0 whenever mu fails to interleave with alpha.
+where a prime drops the first label, rather than by generic determinant
+code; the empty word gives 1, and the determinant is 0 whenever mu fails
+to interleave with alpha.
 
 Raising operators move one unit from a part to the next ([i i+1] style);
 ``raising_closure(alpha)`` collects every tuple reachable from alpha by
@@ -34,8 +35,8 @@ transfer-matrix view of Tokuyama-type formulas).  The edge weights:
 itself; ``stanley_filtered_sum`` the product of the lower row's diagonal
 weights at q = 0, t = -1, or 0 if the pair fails its row-local filter.
 ``hl_row_recursion`` and ``tokuyama_row_recursion`` take one step of the
-same engine under the top row, with F(mu) = v_{n-1}(x;q) * inner(mu -
-staircase) from the brute-force oracle, and so obey the oracle's cap on n.
+same engine under the top row with the oracle's F(mu) = inner(mu - staircase),
+then multiply once by v_{n-1}(x;q) in x_2..x_n; they obey the oracle's cap.
 """
 
 from __future__ import annotations
@@ -53,15 +54,17 @@ from .patterns import (
     LEFT,
     RIGHT,
     GtPattern,
+    _check_upper_row,
+    _diagonal_weight,
+    _interleavings,
+    _leaning,
+    _row_labels,
+    _subdiagonal_weight,
     add_staircase,
     check_partition,
-    diagonal_weight,
-    entry_labels,
     interleaves,
     is_strictly_decreasing,
-    next_rows,
     staircase,
-    subdiagonal_weight,
 )
 
 _Q = parameter("q", 0)
@@ -132,14 +135,13 @@ def raising_closure(alpha: tuple[int, ...]) -> tuple[RaisingOperator, ...]:
 # transition determinant
 
 @lru_cache(maxsize=None)
-def _det_recurrence(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
-    n = len(alpha)
-    if n == 1:
+def _det_recurrence(word: tuple[tuple[str, str], ...]) -> Polynomial:
+    if not word:
         return _ONE
-    if n == 2:
-        return diagonal_weight(alpha, mu, 0)
-    return diagonal_weight(alpha, mu, 0) * _det_recurrence(alpha[1:], mu[1:]) \
-        - subdiagonal_weight(alpha, mu, 1) * _det_recurrence(alpha[2:], mu[2:])
+    det = _diagonal_weight(*word[0]) * _det_recurrence(word[1:])
+    if len(word) > 1:
+        det = det - _subdiagonal_weight(word[0], word[1]) * _det_recurrence(word[2:])
+    return det
 
 
 def transition_det(alpha: Sequence[int], mu: Sequence[int]) -> Polynomial:
@@ -150,22 +152,22 @@ def transition_det(alpha: Sequence[int], mu: Sequence[int]) -> Polynomial:
     top-row two-term recurrence otherwise.  Entries of invalid rows are
     never labeled.
     """
-    alpha = check_partition(alpha, strict=True)
+    alpha = _check_upper_row(alpha)
     mu = tuple(mu)
-    if len(alpha) == 0:
-        raise ValueError("alpha must have at least one part")
     if not interleaves(alpha, mu):
         return Polynomial.zero(0)
-    return _det_recurrence(alpha, mu)
+    return _det_recurrence(_row_labels(alpha, mu))
 
 
 def row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
     """Sum of t^length * transition_det(upper, image) over the closure of lower."""
+    upper = _check_upper_row(upper)
     acc = Polynomial.zero(0)
     for op in raising_closure(lower):
-        det = transition_det(upper, op.result)
-        if det:
-            acc = acc + _T ** op.length * det
+        if interleaves(upper, op.result):
+            det = _det_recurrence(_row_labels(upper, op.result))
+            if det:
+                acc = acc + _T ** op.length * det
     return acc
 
 
@@ -219,7 +221,7 @@ def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
     levels: list[dict] = [{top: None}]
     for _ in range(len(top) - 1):
         for row in levels[-1]:
-            levels[-1][row] = [(mu, w) for mu in next_rows(row)
+            levels[-1][row] = [(mu, w) for mu in _interleavings(row)
                                if is_strictly_decreasing(mu) and (w := edge_weight(row, mu))]
         levels.append(dict.fromkeys(mu for edges in levels[-1].values() for mu, _ in edges))
     # Bottom up, holding F for two row lengths at a time.
@@ -239,15 +241,8 @@ def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
     return _transfer(add_staircase(check_partition(lam)), row_weight_sum)
 
 
-def _leaning(upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple[int, int]:
-    # (left-leaning, special) entry counts of lower under a strict upper row.
-    left = sum(m == a for m, a in zip(lower, upper))
-    special = sum(m != upper[i] and m != upper[i + 1] for i, m in enumerate(lower))
-    return left, special
-
-
 def _tokuyama_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
-    left, special = _leaning(upper, lower)
+    left, _, special = _leaning(_row_labels(upper, lower))
     return (-_Q) ** left * (_ONE - _Q) ** special
 
 
@@ -261,7 +256,7 @@ def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
 
 def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
     # One _row_step under alpha = lam + staircase, with the oracle's
-    # F(mu) = v_{n-1}(x;q) * inner(mu - staircase) and the oracle's cap on n.
+    # F(mu) = inner(mu - staircase), times v_{n-1}(x;q) in x_2..x_n.
     lam = check_partition(lam)
     n = len(lam)
     oracle._check_cap(n)
@@ -269,11 +264,10 @@ def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
     if n == 1:
         return Polynomial(1, {(alpha[0], 0, 0): 1})
     rho = staircase(n - 1)
-    vq = oracle.weyl_denominator(n - 1, "q")
-    edges = [(mu, w) for mu in next_rows(alpha) if (w := weight(alpha, mu))]
-    below = {mu: _nest(vq * inner(tuple(m - r for m, r in zip(mu, rho))))
-             for mu, _ in edges}
-    return _flatten(n, _row_step(alpha, edges, below))
+    edges = [(mu, w) for mu in _interleavings(alpha) if (w := weight(alpha, mu))]
+    below = {mu: _nest(inner(tuple(m - r for m, r in zip(mu, rho)))) for mu, _ in edges}
+    step = _flatten(n, _row_step(alpha, edges, below))
+    return step * oracle.weyl_denominator(n - 1, "q").shift_vars(0, n)
 
 
 def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
@@ -302,7 +296,7 @@ def tokuyama_row_recursion(lam: Sequence[int]) -> Polynomial:
 
 
 def _stanley_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
-    return constant(2 ** _leaning(upper, lower)[1], 0)
+    return constant(2 ** _leaning(_row_labels(upper, lower))[2], 0)
 
 
 def stanley_sum(lam: Sequence[int]) -> Polynomial:
@@ -314,20 +308,20 @@ def stanley_sum(lam: Sequence[int]) -> Polynomial:
     return _transfer(check_partition(lam, strict=True), _stanley_weight)
 
 
-def _admits_filtered(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
+def _admits_filtered(word: tuple[tuple[str, str], ...]) -> bool:
     # Reject any left-equal entry, and any adjacent pair where the first
     # entry sits on its upper-right parent and the second is one below its
     # upper-left parent.
-    labels = [entry_labels(upper, lower, k) for k in range(len(lower))]
-    return all(lbl.left != LEFT for lbl in labels) and not any(
-        a.right == RIGHT and b.left == ALMOST_LEFT for a, b in zip(labels, labels[1:])
+    return all(left != LEFT for left, _ in word) and not any(
+        a[1] == RIGHT and b[0] == ALMOST_LEFT for a, b in zip(word, word[1:])
     )
 
 
 def _filtered_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
-    if not _admits_filtered(upper, lower):
+    word = _row_labels(upper, lower)
+    if not _admits_filtered(word):
         return _ZERO
-    coeff = prod((diagonal_weight(upper, lower, k) for k in range(len(lower))), start=_ONE)
+    coeff = prod((_diagonal_weight(left, right) for left, right in word), start=_ONE)
     return coeff.substitute("q", 0).substitute("t", -1)
 
 
@@ -336,7 +330,8 @@ def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:
 
     Sums the product of all diagonal entry weights, evaluated at q = 0 and
     t = -1, times x^weight, over strict patterns with top row
-    lam + staircase whose every row pair passes :func:`_admits_filtered`.
+    lam + staircase whose every row pair's label word passes
+    :func:`_admits_filtered`.
     """
     return _transfer(add_staircase(check_partition(lam)), _filtered_weight)
 

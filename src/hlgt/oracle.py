@@ -34,10 +34,10 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .polyring import Monomial, Polynomial, monomial, permutation_sign
+from .polyring import Monomial, Polynomial, generators, monomial, permutation_sign
 from .patterns import add_staircase, check_partition
 
 DEFAULT_MAX_VARS = 6
@@ -76,19 +76,10 @@ def weyl_denominator(n: int, deform: str | None = None) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _weyl_denominator(n: int, deform: str | None) -> Polynomial:
-    acc = Polynomial.one(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lead = [0] * (n + 2)
-            lead[i] = 1
-            trail = [0] * (n + 2)
-            trail[j] = 1
-            if deform == "q":
-                trail[n] = 1
-            elif deform == "t":
-                trail[n + 1] = 1
-            acc = acc * Polynomial(n, {tuple(lead): 1, tuple(trail): -1})
-    return acc
+    xs, q, t = generators(n)
+    p = {None: 1, "q": q, "t": t}[deform]
+    return prod((xs[i] - p * xs[j] for i in range(n) for j in range(i + 1, n)),
+                start=Polynomial.one(n))
 
 
 def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Sequence[int]) -> Polynomial:

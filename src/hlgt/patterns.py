@@ -12,12 +12,12 @@ interleave: each entry lies between its upper-left and upper-right parents.
 An entry equal to its upper-left parent is called left-leaning, equal to its
 upper-right parent right-leaning, and special otherwise.
 
-The refined per-entry labels track near-misses as well: on the left side an
-entry is ``l`` (equal to the upper-left parent), ``al`` (one less), or ``s``;
-on the right side ``r`` (equal to the upper-right parent), ``ar`` (one
-more), or ``s``.  The label weights combine into the q,t-polynomials
-``diagonal_weight`` and ``subdiagonal_weight`` that fill the tridiagonal
-transition determinant used by the formula evaluators.
+The refined per-entry labels track near-misses and are set by the entry's
+two gaps: 0 to the upper-left parent gives ``l``, 1 gives ``al``, more ``s``;
+0 to the upper-right parent gives ``r``, 1 gives ``ar``, more ``s``.
+``_row_labels`` labels a row pair in one pass, and every per-entry
+statistic reads those labels, including the q,t-weights ``diagonal_weight``
+and ``subdiagonal_weight`` of the evaluators' transition determinant.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ _LABEL_WEIGHT = {
     ALMOST_RIGHT: -(_Q * _T),
     SPECIAL: _ZERO,
 }
+# Labels by gap: upper-left parent minus entry, entry minus upper-right parent.
+_LEFT_BY_GAP = {0: LEFT, 1: ALMOST_LEFT}
+_RIGHT_BY_GAP = {0: RIGHT, 1: ALMOST_RIGHT}
 
 
 class EntryLabels(NamedTuple):
@@ -116,10 +119,15 @@ def next_rows(alpha: Sequence[int]) -> list[tuple[int, ...]]:
     single-part alpha the only next row is the empty tuple.  Results are in
     lex-descending order.
     """
+    return _interleavings(_check_upper_row(alpha))
+
+
+def _check_upper_row(alpha: Sequence[int]) -> tuple[int, ...]:
+    # A strictly decreasing row with at least one part, as a tuple.
     alpha = check_partition(alpha, strict=True)
     if len(alpha) == 0:
         raise ValueError("alpha must have at least one part")
-    return _interleavings(alpha)
+    return alpha
 
 
 def interleaves(upper: Sequence[int], lower: Sequence[int]) -> bool:
@@ -173,15 +181,8 @@ class GtPattern:
         An entry equal to both parents (possible only below a non-strict
         row) counts once on each side.
         """
-        left = right = special = 0
-        for upper, lower in zip(self.rows, self.rows[1:]):
-            for k, entry in enumerate(lower):
-                is_left = entry == upper[k]
-                is_right = entry == upper[k + 1]
-                left += is_left
-                right += is_right
-                special += not (is_left or is_right)
-        return left, right, special
+        return _leaning(lbl for upper, lower in zip(self.rows, self.rows[1:])
+                        for lbl in _row_labels(upper, lower))
 
     def triangle_lines(self) -> list[str]:
         """Centered triangle rendering, one string per row."""
@@ -234,6 +235,22 @@ def enumerate_patterns(top: Sequence[int], strict: bool = False) -> list[GtPatte
 # ----------------------------------------------------------------------
 # refined entry labels and their weights
 
+def _row_labels(upper: Sequence[int], lower: Sequence[int]) -> tuple[tuple[str, str], ...]:
+    # (left, right) labels of every entry of lower under upper; unchecked, so (l, r) can occur.
+    return tuple((_LEFT_BY_GAP.get(a - m, SPECIAL), _RIGHT_BY_GAP.get(m - b, SPECIAL))
+                 for a, m, b in zip(upper, lower, upper[1:]))
+
+
+def _leaning(labels: Iterable[tuple[str, str]]) -> tuple[int, int, int]:
+    # (left-leaning, right-leaning, special) counts of the given labels.
+    left = right = special = 0
+    for left_label, right_label in labels:
+        left += left_label == LEFT
+        right += right_label == RIGHT
+        special += left_label != LEFT and right_label != RIGHT
+    return left, right, special
+
+
 def entry_labels(upper: Sequence[int], lower: Sequence[int], i: int) -> EntryLabels:
     """Refined (left, right) labels of entry lower[i] under a strict row upper."""
     upper = check_partition(upper, strict=True)
@@ -244,20 +261,22 @@ def entry_labels(upper: Sequence[int], lower: Sequence[int], i: int) -> EntryLab
         )
     if not 0 <= i < len(lower):
         raise ValueError(f"entry index {i} out of range for row {lower!r}")
-    entry = lower[i]
-    if entry == upper[i]:
-        left = LEFT
-    elif entry == upper[i] - 1:
-        left = ALMOST_LEFT
+    return EntryLabels(*_row_labels(upper, lower)[i])
+
+
+def _diagonal_weight(left: str, right: str) -> Polynomial:
+    if left == LEFT and right == RIGHT:
+        raise ArithmeticError("label (l, r): an entry equal to both parents of a strict row")
+    if left == LEFT or right == RIGHT:
+        base = _ZERO
     else:
-        left = SPECIAL
-    if entry == upper[i + 1]:
-        right = RIGHT
-    elif entry == upper[i + 1] + 1:
-        right = ALMOST_RIGHT
-    else:
-        right = SPECIAL
-    return EntryLabels(left, right)
+        base = (_ONE - _Q) * (_ONE - _T)
+    return base + _LABEL_WEIGHT[left] + _LABEL_WEIGHT[right]
+
+
+def _subdiagonal_weight(first: tuple[str, str], second: tuple[str, str]) -> Polynomial:
+    # Right label weight of an entry times the left label weight of the next.
+    return _LABEL_WEIGHT[first[1]] * _LABEL_WEIGHT[second[0]]
 
 
 def diagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], i: int) -> Polynomial:
@@ -267,16 +286,7 @@ def diagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], i: int) -> P
     neither parent exactly.  The (l, r) combination cannot occur under a
     strictly decreasing upper row and is treated as fatal.
     """
-    left, right = entry_labels(upper, lower, i)
-    if left == LEFT and right == RIGHT:
-        raise ArithmeticError(
-            f"entry {lower[i]} equals both parents under strict row {upper!r}"
-        )
-    if left == LEFT or right == RIGHT:
-        base = _ZERO
-    else:
-        base = (_ONE - _Q) * (_ONE - _T)
-    return base + _LABEL_WEIGHT[left] + _LABEL_WEIGHT[right]
+    return _diagonal_weight(*entry_labels(upper, lower, i))
 
 
 def subdiagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], j: int) -> Polynomial:
@@ -287,6 +297,4 @@ def subdiagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], j: int) -
     """
     if not 1 <= j <= len(upper) - 2:
         raise ValueError(f"subdiagonal index {j} out of range for row {tuple(upper)!r}")
-    right = entry_labels(upper, lower, j - 1).right
-    left = entry_labels(upper, lower, j).left
-    return _LABEL_WEIGHT[right] * _LABEL_WEIGHT[left]
+    return _subdiagonal_weight(entry_labels(upper, lower, j - 1), entry_labels(upper, lower, j))

@@ -87,14 +87,15 @@ def check_case(suite: str, lam: Sequence[int]) -> list[CaseResult]:
         record("recursive=vq*hl", formulas.hl_row_recursion(lam) == _product_hl(lam))
     elif suite == "tokuyama":
         toku = formulas.tokuyama_sum(lam)
-        record("tokuyama=vq*schur", toku == _product_schur(lam))
+        product = _product_schur(lam)
+        record("tokuyama=vq*schur", toku == product)
         record(
             "closed@t=0=tokuyama",
             formulas.hl_pattern_expansion(lam).substitute("t", 0) == toku,
         )
         record(
             "tokuyama_recursive=vq*schur",
-            formulas.tokuyama_row_recursion(lam) == _product_schur(lam),
+            formulas.tokuyama_row_recursion(lam) == product,
         )
     elif suite == "stanley":
         closed = formulas.hl_pattern_expansion(lam)

@@ -301,6 +301,21 @@ def test_bench_size_below_one_is_its_own_usage_error(capsys):
 # ----------------------------------------------------------------------
 # module entry point
 
+def test_closed_pipe_exits_without_traceback():
+    # The output is far larger than a pipe buffer, so the writer meets the
+    # closed pipe while it is still printing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hlgt", "compute", "--lambda", "2,2,1,0,0", "--mode", "closed"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
 def test_module_invocation():
     result = subprocess.run(
         [sys.executable, "-m", "hlgt", "compute", "--lambda", "1,0", "--mode", "oracle"],

@@ -2,7 +2,14 @@ import pytest
 
 from hlgt import formulas, oracle, patterns
 from hlgt.polyring import Polynomial, constant, generators, monomial, parameter
-from hlgt.patterns import GtPattern, add_staircase, next_rows, weakly_decreasing_tuples
+from hlgt.patterns import (
+    GtPattern,
+    add_staircase,
+    enumerate_patterns,
+    next_rows,
+    staircase,
+    weakly_decreasing_tuples,
+)
 from hlgt.formulas import (
     elementary_raise,
     hl_pattern_expansion,
@@ -260,10 +267,29 @@ def test_pattern_sums_repeat_exactly(route):
 
 
 def test_filter_is_a_row_pair_predicate():
-    assert formulas._admits_filtered((4, 2, 0), (3, 1))
-    assert not formulas._admits_filtered((4, 2, 0), (4, 1))  # left-equal entry
+    def admits(upper, lower):
+        return formulas._admits_filtered(patterns._row_labels(upper, lower))
+
+    assert admits((4, 2, 0), (3, 1))
+    assert not admits((4, 2, 0), (4, 1))  # left-equal entry
     # 2 sits on its upper-right parent, 1 one below its upper-left parent
-    assert not formulas._admits_filtered((4, 2, 0), (2, 1))
+    assert not admits((4, 2, 0), (2, 1))
+
+
+# ----------------------------------------------------------------------
+# Gelfand's parametrization: GT patterns with top row lam index the
+# monomials of s_lam, and Tokuyama's sum at q = 0 is x^staircase times it
+
+GELFAND_GRID = [lam for n in range(1, 5) for lam in weakly_decreasing_tuples(n, 3)]  # 69
+
+
+@pytest.mark.parametrize("lam", GELFAND_GRID, ids=lambda lam: ",".join(map(str, lam)))
+def test_gelfand_parametrization(lam):
+    gelfand = Polynomial.zero(len(lam))
+    for pattern in enumerate_patterns(lam):
+        gelfand = gelfand + monomial(1, pattern.weight())
+    assert gelfand == oracle.schur(lam)
+    assert tokuyama_sum(lam).substitute("q", 0) == monomial(1, staircase(len(lam))) * gelfand
 
 
 def test_clear_caches_empties_every_cache():

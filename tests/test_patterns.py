@@ -8,6 +8,8 @@ from hlgt.patterns import (
     RIGHT,
     SPECIAL,
     GtPattern,
+    _diagonal_weight,
+    _row_labels,
     add_staircase,
     check_partition,
     diagonal_weight,
@@ -255,6 +257,22 @@ def test_left_and_right_never_coincide_under_strict_rows():
         for top in strict_tuples(length, 6):
             for pattern in enumerate_patterns(top, strict=True):
                 for upper, lower in zip(pattern.rows, pattern.rows[1:]):
+                    word = _row_labels(upper, lower)
+                    assert len(word) == len(lower)
                     for k in range(len(lower)):
                         labels = entry_labels(upper, lower, k)
                         assert labels != (LEFT, RIGHT)
+                        assert word[k] == labels
+
+
+def test_row_labels_are_unchecked_and_read_the_two_gaps():
+    # below the non-strict row (3, 3) the entry 3 touches both parents
+    assert _row_labels((3, 3), (3,)) == ((LEFT, RIGHT),)
+    assert _row_labels((5, 3, 1), (4, 3)) == ((ALMOST_LEFT, ALMOST_RIGHT), (LEFT, SPECIAL))
+    assert _row_labels((9, 5, 1), (7, 2)) == ((SPECIAL, SPECIAL), (SPECIAL, ALMOST_RIGHT))
+
+
+def test_label_diagonal_weight_rejects_left_and_right():
+    with pytest.raises(ArithmeticError):
+        _diagonal_weight(LEFT, RIGHT)
+    assert _diagonal_weight(LEFT, ALMOST_RIGHT) == -Q - Q * T
