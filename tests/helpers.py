@@ -1,5 +1,6 @@
-"""Shared test utilities: independent determinant, pattern-sum and alternant oracles, tuple grids."""
+"""Shared test utilities: independent determinant, pattern-sum, alternant and JSON oracles, tuple grids."""
 
+import json
 from itertools import combinations, permutations
 
 from hlgt import (
@@ -117,3 +118,20 @@ def filtered_pair_weight(upper, lower):
     for k in range(len(lower)):
         coeff = coeff * diagonal_weight(upper, lower, k)
     return coeff.substitute("q", 0).substitute("t", -1)
+
+
+def canonical_terms(poly):
+    """Terms sorted by one Python key: graded-lex descending on (x.., q, t)."""
+    return sorted(poly._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+def reference_json(poly):
+    """The canonical JSON text through one dict per term and ``json.dumps``."""
+    n = poly.n_vars
+    return json.dumps({
+        "n_vars": n,
+        "terms": [
+            {"c": str(c), "x": list(m[:n]), "q": m[n], "t": m[n + 1]}
+            for m, c in canonical_terms(poly)
+        ],
+    })

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -139,6 +140,18 @@ def test_patterns_json(capsys):
         for weight in record["row_weights"]:
             product = product * Polynomial.from_dict(weight)
         assert Polynomial.from_dict(record["coefficient"]) == product
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("compute", "--lambda", "2,1,0", "--mode", "closed", "--format", "json"),
+     "4b815634f2e630a125d65e30603ea9e400b57f5c136ce1bfa6aabda441f4818d"),
+    (("patterns", "--top", "4,2,0", "--strict", "--stats", "--format", "json"),
+     "09e526c75ae5a432321b1c12c83f4177172c4483a3bd0611aa480f73524c6da8"),
+])
+def test_json_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_patterns_rejects_bad_top(capsys):

@@ -1,3 +1,6 @@
+import json
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,7 @@ from hlgt.polyring import (
     variable,
 )
 
-from helpers import literal_numerator
+from helpers import canonical_terms, literal_numerator, reference_json
 
 
 def ring(n):
@@ -25,6 +28,17 @@ def polynomials(n_vars, max_exp=3, max_terms=5):
     return st.dictionaries(mono, st.integers(-9, 9), max_size=max_terms).map(
         lambda d: Polynomial(n_vars, d)
     )
+
+
+def crowded_polynomials():
+    """Polynomials in 0-3 x-variables whose terms share two adjacent total degrees."""
+    def build(n_vars):
+        monos = [m for m in product(range(4), repeat=n_vars + 2) if sum(m) in (3, 4)]
+        coeffs = st.integers(-10 ** 25, 10 ** 25)
+        return st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=40).map(
+            lambda d: Polynomial(n_vars, d)
+        )
+    return st.integers(0, 3).flatmap(build)
 
 
 # ----------------------------------------------------------------------
@@ -310,3 +324,34 @@ def test_json_output_is_stable():
     p = xs[0] - q * xs[1]
     text = p.to_json()
     assert Polynomial.from_json(text).to_json() == text
+
+
+def test_json_golden_bytes():
+    xs, q, t = ring(2)
+    mixed = 3 * xs[0] ** 2 * q - xs[1] * t ** 2 + 7 * xs[0] * xs[1] - 2 * q + 5
+    assert Polynomial.zero(0).to_json() == '{"n_vars": 0, "terms": []}'
+    assert Polynomial.zero(3).to_json() == '{"n_vars": 3, "terms": []}'
+    assert Polynomial.one(0).to_json() == (
+        '{"n_vars": 0, "terms": [{"c": "1", "x": [], "q": 0, "t": 0}]}'
+    )
+    assert monomial(-10 ** 22 - 4567, (2, 0, 1), 1, 3).to_json() == (
+        '{"n_vars": 3, "terms": [{"c": "-10000000000000000004567", "x": [2, 0, 1], "q": 1, "t": 3}]}'
+    )
+    assert mixed.to_json() == (
+        '{"n_vars": 2, "terms": [{"c": "3", "x": [2, 0], "q": 1, "t": 0}, '
+        '{"c": "-1", "x": [0, 1], "q": 0, "t": 2}, {"c": "7", "x": [1, 1], "q": 0, "t": 0}, '
+        '{"c": "-2", "x": [0, 0], "q": 1, "t": 0}, {"c": "5", "x": [0, 0], "q": 0, "t": 0}]}'
+    )
+
+
+@settings(max_examples=80)
+@given(st.one_of(crowded_polynomials(), polynomials(3, max_terms=12)))
+def test_json_matches_per_term_dict_encoding(p):
+    assert p.to_json() == reference_json(p)
+    assert p.to_dict() == json.loads(reference_json(p))
+
+
+@settings(max_examples=80)
+@given(crowded_polynomials())
+def test_terms_match_single_key_sort(p):
+    assert p.terms() == canonical_terms(p)
