@@ -279,7 +279,9 @@ def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
     with the Hall-Littlewood factor taken from the brute-force oracle.
     Non-strict mu feed exponent tuples with ascents straight into it.
     """
-    return _one_step(lam, transition_det, oracle.hall_littlewood)
+    # Every mu comes from _interleavings(alpha), so label it unchecked.
+    return _one_step(lam, lambda alpha, mu: _det_recurrence(_row_labels(alpha, mu)),
+                     oracle.hall_littlewood)
 
 
 def tokuyama_row_recursion(lam: Sequence[int]) -> Polynomial:

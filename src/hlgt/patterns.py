@@ -166,6 +166,13 @@ class GtPattern:
                 )
         self.rows = rows
 
+    @classmethod
+    def _raw(cls, rows: tuple[tuple[int, ...], ...]) -> "GtPattern":
+        # Fast path for internal use: rows are already a valid pattern of tuples.
+        pattern = object.__new__(cls)
+        pattern.rows = rows
+        return pattern
+
     @property
     def is_strict(self) -> bool:
         return all(is_strictly_decreasing(r) for r in self.rows)
@@ -219,7 +226,7 @@ def enumerate_patterns(top: Sequence[int], strict: bool = False) -> list[GtPatte
     def extend(rows: list[tuple[int, ...]]) -> None:
         last = rows[-1]
         if len(last) == 1:
-            results.append(GtPattern(rows))
+            results.append(GtPattern._raw(tuple(rows)))
             return
         for nxt in _interleavings(last):
             if strict and not is_strictly_decreasing(nxt):

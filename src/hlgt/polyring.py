@@ -12,8 +12,11 @@ instance, so they can be shared between threads without locking.
 
 The canonical term order (used by :meth:`Polynomial.terms` and the JSON
 encoding) is graded-lexicographic on the concatenated exponent vector
-(x_1, ..., x_n, q, t), descending.  Equality is structural, so two
-construction orders of the same polynomial compare equal.
+(x_1, ..., x_n, q, t), descending.  It comes from two stable sorts of the
+exponent tuples: lexicographic descending, then by total degree
+descending.  The JSON text is filled in term by term from one template per
+ring; :meth:`Polynomial.to_dict` is its parse.  Equality is structural, so
+two construction orders of the same polynomial compare equal.
 """
 
 from __future__ import annotations
@@ -81,7 +84,9 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order: graded-lex descending on (x.., q, t)."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        terms = self._terms
+        monos = sorted(sorted(terms, reverse=True), key=sum, reverse=True)
+        return list(zip(monos, map(terms.__getitem__, monos)))
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(tuple(mono), 0)
@@ -336,17 +341,14 @@ class Polynomial:
         return f"Polynomial({self.n_vars}, '{self}')"
 
     def to_dict(self) -> dict:
-        n = self.n_vars
-        return {
-            "n_vars": n,
-            "terms": [
-                {"c": str(c), "x": list(m[:n]), "q": m[n], "t": m[n + 1]}
-                for m, c in self.terms()
-            ],
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """Canonical JSON text: terms in canonical order, coefficients as decimal strings."""
+        n = self.n_vars
+        term = '{"c": "%d", "x": [' + ", ".join(["%d"] * n) + '], "q": %d, "t": %d}'
+        body = ", ".join([term % ((c,) + m) for m, c in self.terms()])
+        return '{"n_vars": %d, "terms": [%s]}' % (n, body)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Polynomial":

@@ -139,6 +139,21 @@ def test_enumerate_patterns_unique_weight():
     assert matching[0].rows == ((3, 1, 0), (2, 0), (1,))
 
 
+def test_enumerated_patterns_pass_the_checked_constructor():
+    for length in range(1, 5):
+        for top in weakly_decreasing_tuples(length, 3):
+            found = enumerate_patterns(top)
+            assert found == [GtPattern(p.rows) for p in found]
+            assert all(type(row) is tuple for p in found for row in p.rows)
+
+
+def test_checked_constructor_rejects_each_non_interleaving_pair():
+    with pytest.raises(ValueError, match="interleaving"):
+        GtPattern([(3, 1, 0), (2, 2), (2,)])
+    with pytest.raises(ValueError, match="interleaving"):
+        GtPattern([(3, 1, 0), (2, 0), (3,)])
+
+
 def test_enumerate_patterns_strict_needs_strict_top():
     with pytest.raises(ValueError):
         enumerate_patterns((2, 2), strict=True)
