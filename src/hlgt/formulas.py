@@ -48,11 +48,15 @@ from math import prod
 from typing import Sequence
 
 from . import oracle
-from .polyring import Polynomial, constant, parameter
+from .polyring import Polynomial, constant
 from .patterns import (
     ALMOST_LEFT,
     LEFT,
     RIGHT,
+    _ONE,
+    _Q,
+    _T,
+    _ZERO,
     GtPattern,
     _check_upper_row,
     _diagonal_weight,
@@ -66,11 +70,6 @@ from .patterns import (
     is_strictly_decreasing,
     staircase,
 )
-
-_Q = parameter("q", 0)
-_T = parameter("t", 0)
-_ONE = constant(1, 0)
-_ZERO = Polynomial.zero(0)
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +160,11 @@ def transition_det(alpha: Sequence[int], mu: Sequence[int]) -> Polynomial:
 
 def row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
     """Sum of t^length * transition_det(upper, image) over the closure of lower."""
-    upper = _check_upper_row(upper)
+    return _row_weight_sum(_check_upper_row(upper), lower)
+
+
+def _row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
+    # row_weight_sum for an upper row already known to be strictly decreasing.
     acc = Polynomial.zero(0)
     for op in raising_closure(lower):
         if interleaves(upper, op.result):
@@ -186,7 +189,9 @@ def _row_step(row: tuple[int, ...], edges, below: dict) -> dict:
     """Sum over edges (mu, weight) of weight * x_k^(|row| - |mu|) * below[mu].
 
     Each F is nested as {x-exponents of the last len(row) variables:
-    {(q, t): coeff}}; the result is F(row) in the same form.
+    {(q, t): coeff}}; the result is F(row) in the same form.  F may hold
+    zero coefficients: they add nothing downstream, and ``_flatten``
+    drops them once.
     """
     out: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for mu, weight in edges:
@@ -198,8 +203,7 @@ def _row_step(row: tuple[int, ...], edges, below: dict) -> dict:
                 for (q, t), c in qt.items():
                     key = (q + wq, t + wt)
                     acc[key] = acc.get(key, 0) + wc * c
-    return {xs: kept for xs, qt in out.items()
-            if (kept := {key: c for key, c in qt.items() if c})}
+    return out
 
 
 def _nest(poly: Polynomial) -> dict:
@@ -211,7 +215,7 @@ def _nest(poly: Polynomial) -> dict:
 
 def _flatten(n_vars: int, nested: dict) -> Polynomial:
     return Polynomial._raw(n_vars, {xs + key: c for xs, qt in nested.items()
-                                    for key, c in qt.items()})
+                                    for key, c in qt.items() if c})
 
 
 def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
@@ -238,7 +242,7 @@ def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
     product over consecutive row pairs of the raising-closure-summed
     transition determinants, times x^weight.
     """
-    return _transfer(add_staircase(check_partition(lam)), row_weight_sum)
+    return _transfer(add_staircase(check_partition(lam)), _row_weight_sum)
 
 
 def _tokuyama_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:

@@ -86,35 +86,27 @@ def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Sequence[int]) -> 
     """sum over sigma in S_n of weights[sigma] * sigma(term), over the terms of reps.
 
     ``weights`` holds one weight per permutation, in the order of
-    ``itertools.permutations(range(n))``.  Zero coefficients in reps are
-    skipped; the orbits of the other terms must not cancel each other.
+    ``itertools.permutations(range(n))``.
     """
-    out: dict[Monomial, int] = {}
-    for mono, coeff in reps.items():
-        if not coeff:
-            continue
-        xs, rest = mono[:n], mono[n:]
-        # permutations(xs) yields (xs[p[0]], ..., xs[p[n-1]]): the image of
-        # the term under the inverse of p, whose sign is p's.
-        for image, weight in zip(permutations(xs), weights):
-            key = image + rest
-            out[key] = out.get(key, 0) + weight * coeff
-    return Polynomial._raw(n, out)
+    # permutations(xs) yields (xs[p[0]], ..., xs[p[n-1]]): the image of the
+    # term under the inverse of p, whose sign is p's.
+    return Polynomial._collect(n, (
+        (image + mono[n:], weight * coeff)
+        for mono, coeff in reps.items()
+        for image, weight in zip(permutations(mono[:n]), weights)))
 
 
 def _alternant(terms: Mapping[Monomial, int], n: int) -> Polynomial:
     """sum over sigma in S_n of sign(sigma) * sigma(terms), via orbit representatives."""
-    reps: dict[Monomial, int] = {}
-    for mono, coeff in terms.items():
-        xs = mono[:n]
-        if len(set(xs)) < n:
-            continue  # a transposition fixes the term and flips its sign
-        order = sorted(range(n), key=xs.__getitem__, reverse=True)
-        key = tuple(xs[k] for k in order) + mono[n:]
-        reps[key] = reps.get(key, 0) + permutation_sign(order) * coeff
-    # Representatives with strictly decreasing x-exponents have disjoint orbits.
+    def signed_reps():
+        for mono, coeff in terms.items():
+            xs = mono[:n]
+            if len(set(xs)) == n:  # else a transposition fixes it and flips its sign
+                order = sorted(range(n), key=xs.__getitem__, reverse=True)
+                yield tuple(xs[k] for k in order) + mono[n:], permutation_sign(order) * coeff
+
     signs = [permutation_sign(sigma) for sigma in permutations(range(n))]
-    return _orbit_sum(reps, n, signs)
+    return _orbit_sum(Polynomial._collect(n, signed_reps())._terms, n, signs)
 
 
 def _divide_vandermonde(p: Polynomial) -> Polynomial:

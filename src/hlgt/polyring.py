@@ -17,11 +17,18 @@ exponent tuples: lexicographic descending, then by total degree
 descending.  The JSON text is filled in term by term from one template per
 ring; :meth:`Polynomial.to_dict` is its parse.  Equality is structural, so
 two construction orders of the same polynomial compare equal.
+
+The constructor is the checked entry for terms from outside the program.
+Every computed sum of terms is made canonical in one place,
+:meth:`Polynomial._collect`, which adds up repeated monomials and drops
+zero coefficients once.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from itertools import chain
 from typing import Mapping, Sequence
 
 # Exponent tuple: x_1 .. x_n exponents, then the q exponent, then the t
@@ -63,6 +70,17 @@ class Polynomial:
         poly.n_vars = n_vars
         poly._terms = terms
         return poly
+
+    @classmethod
+    def _collect(cls, n_vars: int, pairs) -> "Polynomial":
+        # Sum the (monomial, coeff) pairs per monomial, then drop zeros.
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for mono, coeff in pairs:
+            out[mono] = get(mono, 0) + coeff
+        if 0 in out.values():
+            out = {mono: c for mono, c in out.items() if c}
+        return cls._raw(n_vars, out)
 
     @classmethod
     def zero(cls, n_vars: int) -> "Polynomial":
@@ -116,14 +134,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            total = out.get(mono, 0) + coeff
-            if total:
-                out[mono] = total
-            elif mono in out:
-                del out[mono]
-        return Polynomial._raw(self.n_vars, out)
+        return Polynomial._collect(
+            self.n_vars, chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -146,16 +158,10 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                total = out.get(mono, 0) + c1 * c2
-                if total:
-                    out[mono] = total
-                elif mono in out:
-                    del out[mono]
-        return Polynomial._raw(self.n_vars, out)
+        right = other._terms.items()
+        return Polynomial._collect(self.n_vars, (
+            (tuple(map(operator.add, m1, m2)), c1 * c2)
+            for m1, c1 in self._terms.items() for m2, c2 in right))
 
     __rmul__ = __mul__
 
@@ -186,13 +192,7 @@ class Polynomial:
         sigma = tuple(sigma)
         if sorted(sigma) != list(range(n)):
             raise ValueError("sigma is not a bijection on the variable indices")
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            xs = [0] * n
-            for i in range(n):
-                xs[sigma[i]] = mono[i]
-            out[tuple(xs) + mono[n:]] = coeff
-        return Polynomial._raw(n, out)
+        return self._reindex(n, sigma)
 
     def shift_vars(self, i: int, new_n: int) -> "Polynomial":
         """Reindex x_k to x_{k+1} for every k >= i, widening to new_n variables.
@@ -206,13 +206,7 @@ class Polynomial:
             raise ValueError(f"shift index {i} out of range for {n} variables")
         if new_n < n + 1:
             raise ValueError(f"new_n must be at least {n + 1}, got {new_n}")
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            xs = [0] * new_n
-            for k in range(n):
-                xs[k if k < i else k + 1] = mono[k]
-            out[tuple(xs) + mono[n:]] = coeff
-        return Polynomial._raw(new_n, out)
+        return self._reindex(new_n, [k if k < i else k + 1 for k in range(n)])
 
     def with_vars(self, new_n: int) -> "Polynomial":
         """Embed into a ring with new_n >= n_vars variables; new slots unused."""
@@ -221,8 +215,18 @@ class Polynomial:
             raise ValueError(f"cannot shrink from {n} to {new_n} variables")
         if new_n == n:
             return self
-        pad = (0,) * (new_n - n)
-        out = {mono[:n] + pad + mono[n:]: c for mono, c in self._terms.items()}
+        return self._reindex(new_n, range(n))
+
+    def _reindex(self, new_n: int, positions: Sequence[int]) -> "Polynomial":
+        # Move the exponent of x_k to slot positions[k] of a ring with new_n
+        # variables; positions is injective, so no two terms merge.
+        n = self.n_vars
+        out: dict[Monomial, int] = {}
+        for mono, coeff in self._terms.items():
+            xs = [0] * new_n
+            for k, slot in enumerate(positions):
+                xs[slot] = mono[k]
+            out[tuple(xs) + mono[n:]] = coeff
         return Polynomial._raw(new_n, out)
 
     def divide_by_diff(self, i: int, j: int) -> "Polynomial":
@@ -276,16 +280,9 @@ class Polynomial:
             slot = self.n_vars + 1
         else:
             raise ValueError(f"parameter must be 'q' or 't', got {param!r}")
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            scaled = coeff * value ** mono[slot]
-            key = mono[:slot] + (0,) + mono[slot + 1:]
-            total = out.get(key, 0) + scaled
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-        return Polynomial._raw(self.n_vars, out)
+        return Polynomial._collect(self.n_vars, (
+            (mono[:slot] + (0,) + mono[slot + 1:], coeff * value ** mono[slot])
+            for mono, coeff in self._terms.items()))
 
     def coefficient_of(self, x_exps: Sequence[int]) -> "Polynomial":
         """The polynomial in q, t only multiplying the given x-monomial."""

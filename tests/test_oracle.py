@@ -11,7 +11,7 @@ from hlgt.oracle import (
     schur,
     weyl_denominator,
 )
-from hlgt.polyring import Polynomial, generators, monomial
+from hlgt.polyring import Polynomial, generators, monomial, permutation_sign
 from hlgt.patterns import enumerate_patterns, staircase, weakly_decreasing_tuples
 
 from helpers import coeff_sum, literal_numerator
@@ -116,6 +116,36 @@ def test_antisymmetrized_numerator_flips_sign_under_transpositions():
         swap = list(range(n))
         swap[i], swap[i + 1] = swap[i + 1], swap[i]
         assert num.permuted(swap) == -num
+
+
+def _copy_by_copy_alternant(p):
+    n = p.n_vars
+    total = Polynomial.zero(n)
+    for sigma in permutations(range(n)):
+        image = p.permuted(sigma)
+        total = total + (image if permutation_sign(sigma) == 1 else -image)
+    return total
+
+
+def test_alternant_of_cancelling_representatives_is_zero():
+    # x1^2*x2 and x1*x2^2 share the representative x1^2*x2, with opposite signs
+    xs, _, _ = generators(2)
+    p = xs[0] ** 2 * xs[1] + xs[0] * xs[1] ** 2
+    assert oracle._alternant(p._terms, 2) == Polynomial.zero(2)
+
+
+@pytest.mark.parametrize("exps", [
+    [(2, 1)],
+    [(2, 1, 0), (1, 2, 0), (0, 2, 1), (3, 0, 0), (1, 1, 0)],
+    [(2, 1, 0), (0, 1, 2), (3, 1, 0)],
+], ids=str)
+def test_alternant_matches_copy_by_copy_sum(exps):
+    n = len(exps[0])
+    _, q, _ = generators(n)
+    p = sum((monomial(1, e) for e in exps), start=Polynomial.zero(n)) * (1 - q)
+    alternant = oracle._alternant(p._terms, n)
+    assert alternant == _copy_by_copy_alternant(p)
+    assert 0 not in [c for _, c in alternant.terms()]
 
 
 LITERAL_CASES = [

@@ -105,6 +105,35 @@ def test_pow():
         xs[0] ** -1
 
 
+def cancelling_pairs(n_vars=2):
+    """(a, b) with b = c - a: the terms of a cancel in a + b, leaving c."""
+    return st.tuples(polynomials(n_vars), polynomials(n_vars)).map(
+        lambda ac: (ac[0], ac[1] - ac[0])
+    )
+
+
+@settings(max_examples=60)
+@given(cancelling_pairs(), st.permutations([0, 1]), st.integers(0, 2), st.integers(-2, 2))
+def test_no_operation_stores_a_zero_coefficient(pair, sigma, i, value):
+    a, b = pair
+    _, q, t = ring(2)
+    zero = Polynomial.zero(2)
+    # Each of these cancels to 0 term by term.
+    assert a * b - b * a == zero
+    assert a + (-a) == zero
+    assert ((t - 1) * a).substitute("t", 1) == zero
+    assert ((q + 1) * b).substitute("q", -1) == zero
+    results = [
+        a + b, b - a, a * b - b * a, (a + b) * (a - b), a * (b - b) + a,
+        (t - 1) * a + b, ((t - 1) * a + b).substitute("t", 1),
+        (a * b).substitute("q", value), (a - q * b).substitute("t", value),
+        (a + b).permuted(sigma), (a - a.permuted(sigma)).permuted(sigma),
+        (a + b).shift_vars(i, 3), (a + b).with_vars(4),
+    ]
+    for r in results:
+        assert 0 not in [c for _, c in r.terms()]
+
+
 def test_invalid_construction():
     with pytest.raises(ValueError):
         Polynomial(2, {(1, 0): 1})  # wrong width
