@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from math import factorial, prod
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .polyring import Monomial, Polynomial, generators, monomial, permutation_sign
@@ -89,11 +90,12 @@ def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Sequence[int]) -> 
     ``itertools.permutations(range(n))``.
     """
     # permutations(xs) yields (xs[p[0]], ..., xs[p[n-1]]): the image of the
-    # term under the inverse of p, whose sign is p's.
-    return Polynomial._collect(n, (
-        (image + mono[n:], weight * coeff)
-        for mono, coeff in reps.items()
-        for image, weight in zip(permutations(mono[:n]), weights)))
+    # term under the inverse of p, whose sign is p's.  The (image, weight)
+    # pairs are built by C iterators, not a generator, on this hot path.
+    return Polynomial._collect(n, chain.from_iterable(
+        zip(map(add, permutations(mono[:n]), repeat(mono[n:])),
+            map(mul, weights, repeat(coeff)))
+        for mono, coeff in reps.items()))
 
 
 def _alternant(terms: Mapping[Monomial, int], n: int) -> Polynomial:
