@@ -18,15 +18,19 @@ from hlgt import (
 from hlgt.patterns import ALMOST_LEFT, LEFT, RIGHT
 
 
+def literal_alternant(p):
+    """sum over sigma in S_n of sign(sigma) * sigma(p), copy by copy."""
+    n = p.n_vars
+    total = Polynomial.zero(n)
+    for sigma in permutations(range(n)):
+        image = p.permuted(sigma)
+        total = total + (image if permutation_sign(sigma) == 1 else -image)
+    return total
+
+
 def literal_numerator(kappa):
     """sum over sigma in S_n of sign(sigma) * sigma(x^kappa * prod_{i<j}(x_i - t x_j)), copy by copy."""
-    n = len(kappa)
-    base = monomial(1, kappa) * weyl_denominator(n, "t")
-    num = Polynomial.zero(n)
-    for sigma in permutations(range(n)):
-        image = base.permuted(sigma)
-        num = num + (image if permutation_sign(sigma) == 1 else -image)
-    return num
+    return literal_alternant(monomial(1, kappa) * weyl_denominator(len(kappa), "t"))
 
 
 def laplace_det(matrix):

@@ -11,10 +11,10 @@ from hlgt.oracle import (
     schur,
     weyl_denominator,
 )
-from hlgt.polyring import Polynomial, generators, monomial, permutation_sign
+from hlgt.polyring import Polynomial, generators, monomial
 from hlgt.patterns import enumerate_patterns, staircase, weakly_decreasing_tuples
 
-from helpers import coeff_sum, literal_numerator
+from helpers import coeff_sum, literal_alternant, literal_numerator
 
 
 def test_weyl_denominator_two_vars():
@@ -118,15 +118,6 @@ def test_antisymmetrized_numerator_flips_sign_under_transpositions():
         assert num.permuted(swap) == -num
 
 
-def _copy_by_copy_alternant(p):
-    n = p.n_vars
-    total = Polynomial.zero(n)
-    for sigma in permutations(range(n)):
-        image = p.permuted(sigma)
-        total = total + (image if permutation_sign(sigma) == 1 else -image)
-    return total
-
-
 def test_alternant_of_cancelling_representatives_is_zero():
     # x1^2*x2 and x1*x2^2 share the representative x1^2*x2, with opposite signs
     xs, _, _ = generators(2)
@@ -144,7 +135,7 @@ def test_alternant_matches_copy_by_copy_sum(exps):
     _, q, _ = generators(n)
     p = sum((monomial(1, e) for e in exps), start=Polynomial.zero(n)) * (1 - q)
     alternant = oracle._alternant(p._terms, n)
-    assert alternant == _copy_by_copy_alternant(p)
+    assert alternant == literal_alternant(p)
     assert 0 not in [c for _, c in alternant.terms()]
 
 

@@ -105,9 +105,9 @@ def test_pow():
         xs[0] ** -1
 
 
-def cancelling_pairs(n_vars=2):
-    """(a, b) with b = c - a: the terms of a cancel in a + b, leaving c."""
-    return st.tuples(polynomials(n_vars), polynomials(n_vars)).map(
+def cancelling_pairs():
+    """(a, b) with b = c - a in 2 x-variables: the terms of a cancel in a + b, leaving c."""
+    return st.tuples(polynomials(2), polynomials(2)).map(
         lambda ac: (ac[0], ac[1] - ac[0])
     )
 
