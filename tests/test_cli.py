@@ -147,6 +147,11 @@ def test_patterns_json(capsys):
      "4b815634f2e630a125d65e30603ea9e400b57f5c136ce1bfa6aabda441f4818d"),
     (("patterns", "--top", "4,2,0", "--strict", "--stats", "--format", "json"),
      "09e526c75ae5a432321b1c12c83f4177172c4483a3bd0611aa480f73524c6da8"),
+    (("compute", "--lambda", "1,1,1,0,0,0", "--mode", "closed", "--format", "json"),
+     "853d159280493d35feb7cfe9c39c8e3e19a38803ba117648ba652cb685341ab5"),
+    # Tokuyama weights have negative coefficients.
+    (("compute", "--lambda", "2,1,0,0,0", "--mode", "tokuyama", "--format", "json"),
+     "7a0794d79fe66cfb42d0cd7e36fccfb37548124f9f2e32174829c52ab02c32c1"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
