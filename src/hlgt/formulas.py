@@ -37,6 +37,16 @@ weights at q = 0, t = -1, or 0 if the pair fails its row-local filter.
 ``hl_row_recursion`` and ``tokuyama_row_recursion`` take one step of the
 same engine under the top row with the oracle's F(mu) = inner(mu - staircase),
 then multiply once by v_{n-1}(x;q) in x_2..x_n; they obey the oracle's cap.
+
+The engine holds each F(row) as {x-exponents: packed int}: the q,t
+coefficient sum c q^a t^b of an x-monomial packs to
+sum c << width * (a * stride + b), Kronecker substitution with signed
+fields, so an edge costs one bigint multiply-add per x-monomial.  The
+layout is proven, not guessed: one scalar pass over the same rows and
+edges bounds each row's q-degree, t-degree and coefficient L1 norm, the
+top row's bounds give stride = t-degree + 1 and
+width = L1.bit_length() + 1, and the result is unpacked once, into
+balanced digits; a digit beyond the proven degrees raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -55,7 +65,6 @@ from .patterns import (
     RIGHT,
     _ONE,
     _Q,
-    _T,
     _ZERO,
     GtPattern,
     _check_upper_row,
@@ -165,13 +174,10 @@ def row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial
 
 def _row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
     # row_weight_sum for an upper row already known to be strictly decreasing.
-    acc = Polynomial.zero(0)
-    for op in raising_closure(lower):
-        if interleaves(upper, op.result):
-            det = _det_recurrence(_row_labels(upper, op.result))
-            if det:
-                acc = acc + _T ** op.length * det
-    return acc
+    return Polynomial._collect(0, (
+        ((q, t + op.length), c)
+        for op in raising_closure(lower) if interleaves(upper, op.result)
+        for (q, t), c in _det_recurrence(_row_labels(upper, op.result))._terms.items()))
 
 
 def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
@@ -185,37 +191,128 @@ def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
 # ----------------------------------------------------------------------
 # pattern sums
 
-def _row_step(row: tuple[int, ...], edges, below: dict) -> dict:
-    """Sum over edges (mu, weight) of weight * x_k^(|row| - |mu|) * below[mu].
+@dataclass(frozen=True)
+class _Layout:
+    """Kronecker layout of q,t coefficients in signed fields of one int.
 
-    Each F is nested as {x-exponents of the last len(row) variables:
-    {(q, t): coeff}}; the result is F(row) in the same form.  F may hold
-    zero coefficients: they add nothing downstream, and ``_flatten``
-    drops them once.
+    ``sum c q^a t^b`` packs to ``sum c << width * (a * stride + b)``, with
+    ``stride = t_deg + 1``.  Packing is a ring map, so a product or sum of
+    packed ints is the packed product or sum.  It unpacks uniquely when
+    every t-degree is at most ``t_deg`` and every coefficient is at most
+    ``2**(width - 1) - 1`` in absolute value: ``proven`` takes the width
+    from an L1 bound on the coefficients.
     """
-    out: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for mu, weight in edges:
-        w_terms = weight._terms.items()
-        drop = (sum(row) - sum(mu),)
-        for xs, qt in below[mu].items():
-            acc = out.setdefault(drop + xs, {})
-            for (wq, wt), wc in w_terms:
-                for (q, t), c in qt.items():
-                    key = (q + wq, t + wt)
-                    acc[key] = acc.get(key, 0) + wc * c
-    return out
+
+    width: int
+    q_deg: int
+    t_deg: int
+
+    @classmethod
+    def proven(cls, q_deg: int, t_deg: int, l1: int) -> "_Layout":
+        return cls(l1.bit_length() + 1, q_deg, t_deg)
+
+    def pack(self, poly: Polynomial) -> dict[tuple[int, ...], int]:
+        """Poly as {x-exponents: packed q,t coefficient}."""
+        width, stride = self.width, self.t_deg + 1
+        packed: dict[tuple[int, ...], int] = {}
+        for mono, c in poly._terms.items():
+            xs = mono[:-2]
+            packed[xs] = packed.get(xs, 0) + (c << width * (mono[-2] * stride + mono[-1]))
+        return packed
+
+    def unpack(self, n_vars: int, packed: dict[tuple[int, ...], int]) -> Polynomial:
+        """The Polynomial of packed: each value read as balanced base-2**width digits.
+
+        Adding 2**(width-1) to every field, then flipping that bit back,
+        turns each digit c into its width-bit two's complement c mod
+        2**width with no borrow between fields, so the nonzero fields are
+        found by scanning the value's bits for ones.  A value outside the
+        fields of q-degree <= q_deg raises ArithmeticError.
+        """
+        width, stride = self.width, self.t_deg + 1
+        n_fields = (self.q_deg + 1) * stride
+        n_bits = width * n_fields
+        full = 1 << width
+        half = full >> 1
+        offset = ((1 << n_bits) - 1) // (full - 1) * half
+        pad = "0%db" % n_bits
+        # The q,t exponents of each field, counted from the left of the bits.
+        slots = [divmod(k, stride) for k in reversed(range(n_fields))]
+        terms = {}
+        for xs, value in packed.items():
+            value += offset
+            if value < 0 or value >> n_bits:
+                raise ArithmeticError(
+                    f"packed q,t coefficient of x^{xs} beyond q-degree {self.q_deg}")
+            bits = format(value ^ offset, pad)
+            i = bits.find("1")
+            while i >= 0:
+                j = i // width
+                end = (j + 1) * width
+                c = int(bits[end - width:end], 2)
+                terms[xs + slots[j]] = c - full if c >= half else c
+                i = bits.find("1", end)
+        return Polynomial._raw(n_vars, terms)
 
 
-def _nest(poly: Polynomial) -> dict:
-    nested: dict = {}
+def _bounds(poly: Polynomial) -> tuple[int, int, int]:
+    # (q-degree, t-degree, largest L1 norm of one x-monomial's q,t coefficient)
+    l1: dict[tuple[int, ...], int] = {}
+    q_deg = t_deg = 0
     for mono, c in poly._terms.items():
-        nested.setdefault(mono[:-2], {})[mono[-2:]] = c
-    return nested
+        xs = mono[:-2]
+        l1[xs] = l1.get(xs, 0) + abs(c)
+        q_deg = max(q_deg, mono[-2])
+        t_deg = max(t_deg, mono[-1])
+    return q_deg, t_deg, max(l1.values(), default=0)
 
 
-def _flatten(n_vars: int, nested: dict) -> Polynomial:
-    return Polynomial._raw(n_vars, {xs + key: c for xs, qt in nested.items()
-                                    for key, c in qt.items() if c})
+def _row_sums(top: tuple[int, ...], levels: list[dict], base: dict) -> Polynomial:
+    """F(top): the row step applied level by level, bottom up, over base.
+
+    ``levels`` lists, top row first, each level's rows mapped to their
+    (mu, weight) edges; the last level's next rows mu are the keys of
+    ``base``, which maps each to F(mu), a Polynomial in len(mu) variables.
+    The row step is
+
+        F(row) = sum over edges (mu, weight) of weight * x_k^(|row| - |mu|) * F(mu),
+
+    with each F held as {x-exponents of the last len(row) variables:
+    packed q,t coefficient}, so each edge costs one multiply-add per
+    x-monomial.  A scalar pass first bounds, per row, the q-degree, the
+    t-degree and L1, the largest L1 norm of one x-monomial's coefficient:
+    L1(row) = sum over edges of L1(weight) * L1(F(mu)) bounds every
+    coefficient of every partial sum of F(row).  Every row is reachable
+    from top through nonzero weights, so top's bounds cover all rows and
+    fix one packed layout.
+    """
+    bounds = {mu: _bounds(f) for mu, f in base.items()}
+    for level in reversed(levels):
+        for row, edges in level.items():
+            q_deg = t_deg = l1 = 0
+            for mu, weight in edges:
+                wq, wt, wl = _bounds(weight)
+                mq, mt, ml = bounds[mu]
+                q_deg = max(q_deg, wq + mq)
+                t_deg = max(t_deg, wt + mt)
+                l1 += wl * ml
+            bounds[row] = q_deg, t_deg, l1
+    layout = _Layout.proven(*bounds[top])
+    below = {mu: layout.pack(f) for mu, f in base.items()}
+    for level in reversed(levels):
+        above = {}
+        for row, edges in level.items():
+            out: dict[tuple[int, ...], int] = {}
+            get = out.get
+            for mu, weight in edges:
+                w = layout.pack(weight)[()]
+                drop = (sum(row) - sum(mu),)
+                for xs, f in below[mu].items():
+                    key = drop + xs
+                    out[key] = get(key, 0) + w * f
+            above[row] = out
+        below = above
+    return layout.unpack(len(top), below[top])
 
 
 def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
@@ -228,11 +325,8 @@ def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
             levels[-1][row] = [(mu, w) for mu in _interleavings(row)
                                if is_strictly_decreasing(mu) and (w := edge_weight(row, mu))]
         levels.append(dict.fromkeys(mu for edges in levels[-1].values() for mu, _ in edges))
-    # Bottom up, holding F for two row lengths at a time.
-    below = {row: {row: {(0, 0): 1}} for row in levels.pop()}
-    while levels:
-        below = {row: _row_step(row, edges, below) for row, edges in levels.pop().items()}
-    return _flatten(len(top), below[top])
+    base = {row: Polynomial._raw(1, {(row[0], 0, 0): 1}) for row in levels.pop()}
+    return _row_sums(top, levels, base)
 
 
 def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
@@ -245,9 +339,14 @@ def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
     return _transfer(add_staircase(check_partition(lam)), _row_weight_sum)
 
 
+@lru_cache(maxsize=None)
+def _tokuyama_factor(left: int, special: int) -> Polynomial:
+    return (-_Q) ** left * (_ONE - _Q) ** special
+
+
 def _tokuyama_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
     left, _, special = _leaning(_row_labels(upper, lower))
-    return (-_Q) ** left * (_ONE - _Q) ** special
+    return _tokuyama_factor(left, special)
 
 
 def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
@@ -269,8 +368,8 @@ def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
         return Polynomial(1, {(alpha[0], 0, 0): 1})
     rho = staircase(n - 1)
     edges = [(mu, w) for mu in _interleavings(alpha) if (w := weight(alpha, mu))]
-    below = {mu: _nest(inner(tuple(m - r for m, r in zip(mu, rho)))) for mu, _ in edges}
-    step = _flatten(n, _row_step(alpha, edges, below))
+    base = {mu: inner(tuple(m - r for m, r in zip(mu, rho))) for mu, _ in edges}
+    step = _row_sums(alpha, [{alpha: edges}], base)
     return step * oracle.weyl_denominator(n - 1, "q").shift_vars(0, n)
 
 
@@ -346,4 +445,5 @@ def clear_caches() -> None:
     """Drop all memoized determinants, closures and Weyl denominators (benchmark hygiene)."""
     raising_closure.cache_clear()
     _det_recurrence.cache_clear()
+    _tokuyama_factor.cache_clear()
     oracle._weyl_denominator.cache_clear()

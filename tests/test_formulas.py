@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlgt import formulas, oracle, patterns
 from hlgt.polyring import Polynomial, constant, generators, monomial, parameter
@@ -296,6 +298,7 @@ def test_clear_caches_empties_every_cache():
     hl_pattern_expansion((2, 1, 0))
     stanley_filtered_sum((2, 1, 0))
     hl_row_recursion((2, 1, 0))
+    tokuyama_sum((2, 1, 0))
     caches = [
         value
         for module in (formulas, patterns, oracle)
@@ -304,5 +307,63 @@ def test_clear_caches_empties_every_cache():
     ]
     assert caches and any(cache.cache_info().currsize for cache in caches)
     assert oracle._weyl_denominator.cache_info().currsize
+    assert formulas._tokuyama_factor.cache_info().currsize
     formulas.clear_caches()
     assert all(cache.cache_info().currsize == 0 for cache in caches)
+
+
+# ----------------------------------------------------------------------
+# packed q,t coefficients: pack -> multiply-add -> unpack
+
+def qt_polynomials(max_exp=4, bound=10 ** 6, n_vars=0):
+    mono = st.tuples(*([st.integers(0, max_exp)] * (n_vars + 2)))
+    return st.dictionaries(mono, st.integers(-bound, bound), max_size=6).map(
+        lambda terms: Polynomial(n_vars, terms))
+
+
+def packed(layout, poly):
+    return layout.pack(poly).get((), 0)
+
+
+@settings(max_examples=80)
+@given(qt_polynomials(), qt_polynomials(), qt_polynomials())
+def test_packed_multiply_add_matches_polynomial_arithmetic(a, b, c):
+    (aq, at, al), (bq, bt, bl), (cq, ct, cl) = map(formulas._bounds, (a, b, c))
+    layout = formulas._Layout.proven(max(aq + bq, cq), max(at + bt, ct), al * bl + cl)
+    value = packed(layout, a) * packed(layout, b) + packed(layout, c)
+    assert layout.unpack(0, {(): value}) == a * b + c
+
+
+@settings(max_examples=40)
+@given(qt_polynomials(n_vars=2))
+def test_pack_groups_terms_by_x_monomial(p):
+    layout = formulas._Layout.proven(*formulas._bounds(p))
+    assert all(len(xs) == 2 for xs in layout.pack(p))
+    assert layout.unpack(2, layout.pack(p)) == p
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 80),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.sampled_from([-1, 1]),
+                       min_size=1, max_size=16))
+def test_extreme_field_values_round_trip(width, signs):
+    # Coefficients of exactly +-(2**(width-1) - 1), the largest a field holds.
+    top = 2 ** (width - 1) - 1
+    layout = formulas._Layout.proven(3, 3, top)
+    assert layout.width == width
+    units = Polynomial(0, signs)
+    poly = units * top
+    assert layout.unpack(0, layout.pack(poly)) == poly
+    # the same extremes reached by a product
+    value = packed(layout, units) * packed(layout, constant(top, 0))
+    assert layout.unpack(0, {(): value}) == poly
+
+
+@settings(max_examples=60)
+@given(qt_polynomials(max_exp=2, bound=100), st.integers(1, 4), st.integers(0, 2),
+       st.sampled_from([-100, -1, 1, 100]))
+def test_unpack_rejects_a_digit_beyond_the_proven_q_degree(p, beyond, t, c):
+    layout = formulas._Layout.proven(2, 2, 100 * 7)
+    stray = Polynomial(0, {(2 + beyond, t): c})
+    with pytest.raises(ArithmeticError, match="beyond q-degree 2"):
+        layout.unpack(0, {(): packed(layout, p + stray)})
