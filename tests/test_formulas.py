@@ -363,6 +363,7 @@ def test_extreme_field_values_round_trip(width, signs):
 @given(qt_polynomials(max_exp=2, bound=100), st.integers(1, 4), st.integers(0, 2),
        st.sampled_from([-100, -1, 1, 100]))
 def test_unpack_rejects_a_digit_beyond_the_proven_q_degree(p, beyond, t, c):
+    # p's at most six coefficients and the stray one are each at most 100.
     layout = formulas._Layout.proven(2, 2, 100 * 7)
     stray = Polynomial(0, {(2 + beyond, t): c})
     with pytest.raises(ArithmeticError, match="beyond q-degree 2"):
