@@ -272,7 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except oracle.OracleCapError as exc:
+    except (oracle.OracleCapError, formulas.PatternSizeError) as exc:
         return _usage_error(str(exc))
     except BrokenPipeError:
         # The reader left: send the interpreter's final flush to devnull.

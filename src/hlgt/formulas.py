@@ -43,17 +43,23 @@ coefficient sum c q^a t^b of an x-monomial packs to
 sum c << width * (a * stride + b), Kronecker substitution with signed
 fields, so an edge costs one bigint multiply-add per x-monomial.  The
 layout is proven, not guessed: one scalar pass over the same rows and
-edges bounds each row's q-degree, t-degree and coefficient L1 norm, the
-top row's bounds give stride = t-degree + 1 and
-width = L1.bit_length() + 1, and the result is unpacked once, into
-balanced digits; a digit beyond the proven degrees raises ArithmeticError.
+edges bounds each row's q-degree, t-degree and coefficient L1 norm, with
+the edges of a row grouped by their drop |row| - |mu|, since edges of
+different drops never add into the same coefficient.  The top row's
+bounds give stride = t-degree + 1 and byte-aligned fields: the smallest
+of 8, 16, 32 and 64 bits that holds L1.bit_length() + 1.  A larger need
+raises PatternSizeError before any product.  The result is unpacked
+once, each value read as signed machine integers by a memoryview; a
+value beyond the proven q-degree raises ArithmeticError.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import prod
 from typing import Sequence
 
@@ -191,6 +197,14 @@ def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
 # ----------------------------------------------------------------------
 # pattern sums
 
+class PatternSizeError(ValueError):
+    """A pattern sum whose packed q,t coefficients would need fields over 64 bits."""
+
+
+# Field width in bits -> the memoryview format of that signed machine integer.
+_FIELD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
 @dataclass(frozen=True)
 class _Layout:
     """Kronecker layout of q,t coefficients in signed fields of one int.
@@ -200,7 +214,8 @@ class _Layout:
     packed ints is the packed product or sum.  It unpacks uniquely when
     every t-degree is at most ``t_deg`` and every coefficient is at most
     ``2**(width - 1) - 1`` in absolute value: ``proven`` takes the width
-    from an L1 bound on the coefficients.
+    from an L1 bound on the coefficients, rounded up to a byte-aligned
+    field of 8, 16, 32 or 64 bits.
     """
 
     width: int
@@ -209,7 +224,13 @@ class _Layout:
 
     @classmethod
     def proven(cls, q_deg: int, t_deg: int, l1: int) -> "_Layout":
-        return cls(l1.bit_length() + 1, q_deg, t_deg)
+        need = l1.bit_length() + 1
+        for width in _FIELD_FORMATS:
+            if need <= width:
+                return cls(width, q_deg, t_deg)
+        raise PatternSizeError(
+            f"pattern sum too large: its q,t coefficients need {need}-bit fields, "
+            f"more than the 64 bits supported")
 
     def pack(self, poly: Polynomial) -> dict[tuple[int, ...], int]:
         """Poly as {x-exponents: packed q,t coefficient}."""
@@ -225,33 +246,29 @@ class _Layout:
 
         Adding 2**(width-1) to every field, then flipping that bit back,
         turns each digit c into its width-bit two's complement c mod
-        2**width with no borrow between fields, so the nonzero fields are
-        found by scanning the value's bits for ones.  A value outside the
-        fields of q-degree <= q_deg raises ArithmeticError.
+        2**width with no borrow between fields.  The value's bytes, cast
+        to signed machine integers of the field width, then give every
+        digit, and ``compress`` keeps the nonzero ones.  A value outside
+        the fields of q-degree <= q_deg raises ArithmeticError.
         """
         width, stride = self.width, self.t_deg + 1
         n_fields = (self.q_deg + 1) * stride
         n_bits = width * n_fields
-        full = 1 << width
-        half = full >> 1
-        offset = ((1 << n_bits) - 1) // (full - 1) * half
-        pad = "0%db" % n_bits
-        # The q,t exponents of each field, counted from the left of the bits.
-        slots = [divmod(k, stride) for k in reversed(range(n_fields))]
-        terms = {}
+        offset = ((1 << n_bits) - 1) // ((1 << width) - 1) << (width - 1)
+        n_bytes, fmt, order = n_bits >> 3, _FIELD_FORMATS[width], sys.byteorder
+        # The q,t exponents of each field, in the order the cast yields them.
+        slots = [divmod(k, stride) for k in range(n_fields)]
+        if order == "big":
+            slots.reverse()
+        terms: dict[tuple[int, ...], int] = {}
+        update = terms.update
         for xs, value in packed.items():
             value += offset
             if value < 0 or value >> n_bits:
                 raise ArithmeticError(
                     f"packed q,t coefficient of x^{xs} beyond q-degree {self.q_deg}")
-            bits = format(value ^ offset, pad)
-            i = bits.find("1")
-            while i >= 0:
-                j = i // width
-                end = (j + 1) * width
-                c = int(bits[end - width:end], 2)
-                terms[xs + slots[j]] = c - full if c >= half else c
-                i = bits.find("1", end)
+            digits = memoryview((value ^ offset).to_bytes(n_bytes, order)).cast(fmt).tolist()
+            update(zip(map(xs.__add__, compress(slots, digits)), compress(digits, digits)))
         return Polynomial._raw(n_vars, terms)
 
 
@@ -267,6 +284,31 @@ def _bounds(poly: Polynomial) -> tuple[int, int, int]:
     return q_deg, t_deg, max(l1.values(), default=0)
 
 
+def _top_bounds(top: tuple[int, ...], levels: list[dict], base: dict) -> tuple[int, int, int]:
+    """The (q-degree, t-degree, L1) bounds of F(top) over the rows of _row_sums.
+
+    L1 bounds the L1 norm of every x-monomial's q,t coefficient:
+    L1(row) = max over drops d of the sum, over the edges (mu, weight)
+    with |row| - |mu| = d, of L1(weight) * L1(F(mu)).  ``_row_sums``
+    says why this holds.
+    """
+    bounds = {mu: _bounds(f) for mu, f in base.items()}
+    for level in reversed(levels):
+        for row, edges in level.items():
+            q_deg = t_deg = 0
+            by_drop: dict[int, int] = {}
+            size = sum(row)
+            for mu, weight in edges:
+                wq, wt, wl = _bounds(weight)
+                mq, mt, ml = bounds[mu]
+                q_deg = max(q_deg, wq + mq)
+                t_deg = max(t_deg, wt + mt)
+                drop = size - sum(mu)
+                by_drop[drop] = by_drop.get(drop, 0) + wl * ml
+            bounds[row] = q_deg, t_deg, max(by_drop.values(), default=0)
+    return bounds[top]
+
+
 def _row_sums(top: tuple[int, ...], levels: list[dict], base: dict) -> Polynomial:
     """F(top): the row step applied level by level, bottom up, over base.
 
@@ -279,25 +321,14 @@ def _row_sums(top: tuple[int, ...], levels: list[dict], base: dict) -> Polynomia
 
     with each F held as {x-exponents of the last len(row) variables:
     packed q,t coefficient}, so each edge costs one multiply-add per
-    x-monomial.  A scalar pass first bounds, per row, the q-degree, the
-    t-degree and L1, the largest L1 norm of one x-monomial's coefficient:
-    L1(row) = sum over edges of L1(weight) * L1(F(mu)) bounds every
-    coefficient of every partial sum of F(row).  Every row is reachable
+    x-monomial.  The packed layout comes from ``_top_bounds``: an edge
+    writes only x-monomials whose x_k exponent is its drop |row| - |mu|,
+    so a coefficient of F(row) sums over the edges of one drop only, and
+    the largest such per-drop L1 sum bounds it.  Every row is reachable
     from top through nonzero weights, so top's bounds cover all rows and
-    fix one packed layout.
+    fix one layout of byte-aligned fields of at most 64 bits.
     """
-    bounds = {mu: _bounds(f) for mu, f in base.items()}
-    for level in reversed(levels):
-        for row, edges in level.items():
-            q_deg = t_deg = l1 = 0
-            for mu, weight in edges:
-                wq, wt, wl = _bounds(weight)
-                mq, mt, ml = bounds[mu]
-                q_deg = max(q_deg, wq + mq)
-                t_deg = max(t_deg, wt + mt)
-                l1 += wl * ml
-            bounds[row] = q_deg, t_deg, l1
-    layout = _Layout.proven(*bounds[top])
+    layout = _Layout.proven(*_top_bounds(top, levels, base))
     below = {mu: layout.pack(f) for mu, f in base.items()}
     for level in reversed(levels):
         above = {}

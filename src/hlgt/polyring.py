@@ -100,11 +100,14 @@ class Polynomial:
         """Number of (nonzero) terms."""
         return len(self._terms)
 
+    def _canonical(self) -> list[Monomial]:
+        # The monomials in canonical order, from two stable C-keyed sorts.
+        return sorted(sorted(self._terms, reverse=True), key=sum, reverse=True)
+
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order: graded-lex descending on (x.., q, t)."""
-        terms = self._terms
-        monos = sorted(sorted(terms, reverse=True), key=sum, reverse=True)
-        return list(zip(monos, map(terms.__getitem__, monos)))
+        monos = self._canonical()
+        return list(zip(monos, map(self._terms.__getitem__, monos)))
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(tuple(mono), 0)
@@ -344,7 +347,10 @@ class Polynomial:
         """Canonical JSON text: terms in canonical order, coefficients as decimal strings."""
         n = self.n_vars
         term = '{"c": "%d", "x": [' + ", ".join(["%d"] * n) + '], "q": %d, "t": %d}'
-        body = ", ".join([term % ((c,) + m) for m, c in self.terms()])
+        monos = self._canonical()
+        # Each term's (coeff,) + monomial fills the template, all in C iterators.
+        body = ", ".join(map(term.__mod__, map(
+            operator.add, zip(map(self._terms.__getitem__, monos)), monos)))
         return '{"n_vars": %d, "terms": [%s]}' % (n, body)
 
     @classmethod

@@ -85,6 +85,22 @@ def test_compute_recursive_beyond_oracle_cap_fails_fast(capsys, monkeypatch):
     assert err.startswith("error: ") and "safety cap" in err
 
 
+@pytest.mark.parametrize("mode", ["closed", "tokuyama", "recursive"])
+def test_compute_beyond_64_bit_fields_is_a_usage_error(capsys, monkeypatch, mode):
+    # A proven L1 bound of 2**64 needs 66-bit fields: refused before any packing.
+    monkeypatch.setattr(formulas, "_top_bounds", lambda *args: (1, 1, 2 ** 64))
+
+    def no_packing(*args):
+        raise AssertionError("packed before the size check")
+
+    monkeypatch.setattr(formulas._Layout, "pack", no_packing)
+    code, out, err = run(capsys, "compute", "--lambda", "2,1,0", "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "66-bit fields" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_compute_out_file(tmp_path, capsys):
     target = tmp_path / "poly.txt"
     code, out, _ = run(

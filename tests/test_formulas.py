@@ -343,11 +343,12 @@ def test_pack_groups_terms_by_x_monomial(p):
 
 
 @settings(max_examples=60)
-@given(st.integers(2, 80),
+@given(st.sampled_from([8, 16, 32, 64]),
        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.sampled_from([-1, 1]),
                        min_size=1, max_size=16))
 def test_extreme_field_values_round_trip(width, signs):
-    # Coefficients of exactly +-(2**(width-1) - 1), the largest a field holds.
+    # Coefficients of exactly +-(2**(width-1) - 1), the largest a field
+    # of each byte-aligned width holds.
     top = 2 ** (width - 1) - 1
     layout = formulas._Layout.proven(3, 3, top)
     assert layout.width == width
@@ -357,6 +358,36 @@ def test_extreme_field_values_round_trip(width, signs):
     # the same extremes reached by a product
     value = packed(layout, units) * packed(layout, constant(top, 0))
     assert layout.unpack(0, {(): value}) == poly
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_proven_picks_the_next_field_size_at_each_boundary(width):
+    # An L1 bound of 2**(w-1) - 1 needs w bits with the sign; 2**(w-1) needs w + 1.
+    assert formulas._Layout.proven(0, 0, 2 ** (width - 1) - 1).width == width
+    if width < 64:
+        assert formulas._Layout.proven(0, 0, 2 ** (width - 1)).width == 2 * width
+    else:
+        with pytest.raises(formulas.PatternSizeError, match="need 65-bit fields"):
+            formulas._Layout.proven(0, 0, 2 ** 63)
+
+
+@pytest.mark.parametrize("lam", GELFAND_GRID, ids=lambda lam: ",".join(map(str, lam)))
+def test_proven_bounds_cover_the_result(lam, monkeypatch):
+    # The drop-grouped bound pass must cover the q-degree, the t-degree and
+    # the largest per-x-monomial L1 norm that each pattern sum really has.
+    proven = []
+    top_bounds = formulas._top_bounds
+
+    def spy(*args):
+        proven.append(top_bounds(*args))
+        return proven[-1]
+
+    monkeypatch.setattr(formulas, "_top_bounds", spy)
+    for total in (hl_pattern_expansion, tokuyama_sum, stanley_filtered_sum):
+        proven.clear()
+        result = total(lam)
+        [bound] = proven
+        assert all(b >= r for b, r in zip(bound, formulas._bounds(result))), (total, bound)
 
 
 @settings(max_examples=60)
