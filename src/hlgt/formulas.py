@@ -323,8 +323,10 @@ def _row_sums(top: tuple[int, ...], levels: list[dict], base: dict) -> Polynomia
     packed q,t coefficient}, so each edge costs one multiply-add per
     x-monomial.  The packed layout comes from ``_top_bounds``: an edge
     writes only x-monomials whose x_k exponent is its drop |row| - |mu|,
-    so a coefficient of F(row) sums over the edges of one drop only, and
-    the largest such per-drop L1 sum bounds it.  Every row is reachable
+    so a coefficient of F(row), and every partial sum of it, adds
+    products weight * (a coefficient of F(mu)) over edges of one drop
+    only.  Each product has L1 norm at most L1(weight) * L1(F(mu)), so
+    the largest per-drop sum of these bounds it.  Every row is reachable
     from top through nonzero weights, so top's bounds cover all rows and
     fix one layout of byte-aligned fields of at most 64 bits.
     """
