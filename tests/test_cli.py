@@ -168,6 +168,13 @@ def test_patterns_json(capsys):
     # Tokuyama weights have negative coefficients.
     (("compute", "--lambda", "2,1,0,0,0", "--mode", "tokuyama", "--format", "json"),
      "7a0794d79fe66cfb42d0cd7e36fccfb37548124f9f2e32174829c52ab02c32c1"),
+    # The n! oracle: a repeated part, a one-part shape and an n = 6 case.
+    (("compute", "--lambda", "3,3,3,0,0", "--mode", "oracle", "--format", "json"),
+     "7dad1f957384a2f75711c6d6a93f6c13878ff2366fce3a31ed4495bbb335bd89"),
+    (("compute", "--lambda", "2,1,0,0,0", "--mode", "oracle", "--format", "json"),
+     "7d384a90c49e26f84354c41e73e93f545056e612cbd4be29ddf3bafb67fe4136"),
+    (("compute", "--lambda", "2,2,1,0,0,0", "--mode", "oracle", "--format", "json"),
+     "3ff553bc0d22cc706753acf22a02747d9de51da4b43d14c1fe3ea97eecff4eab"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
