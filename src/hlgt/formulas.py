@@ -475,8 +475,9 @@ def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:
 
 
 def clear_caches() -> None:
-    """Drop all memoized determinants, closures and Weyl denominators (benchmark hygiene)."""
+    """Drop all memoized determinants, closures, Weyl denominators and sign tables (benchmark hygiene)."""
     raising_closure.cache_clear()
     _det_recurrence.cache_clear()
     _tokuyama_factor.cache_clear()
     oracle._weyl_denominator.cache_clear()
+    oracle._signs.cache_clear()

@@ -1,29 +1,33 @@
 """Brute-force reference implementations of the symmetric polynomials.
 
-Everything here works straight from the defining formulas: sum over all
-n! permutations, antisymmetrize, and divide exactly by the Vandermonde
-product.  The module exists to be obviously correct; the formula
-evaluators in :mod:`hlgt.formulas` are checked against it.
+Everything here works straight from the defining formulas: antisymmetrize
+over all n! permutations and divide exactly by the Vandermonde product.
+The module exists to be obviously correct; the formula evaluators in
+:mod:`hlgt.formulas` are checked against it.
 
 ``hall_littlewood`` computes the unnormalized polynomial
 
     sum over sigma in S_n of sigma(x^kappa * prod_{i<j}(x_i - t x_j) / prod_{i<j}(x_i - x_j))
 
-via the common-denominator route: build the antisymmetrized numerator,
-then strip the Vandermonde factors one by one with exact synthetic
-division.  A nonzero remainder at any step is a fatal internal error.
 No stabilizing prefactor is applied, so hall_littlewood((0, 0)) is 1 + t,
 and specializing t to 0 / 1 / -1 yields the Schur polynomial, the
 monomial orbit sum, and the Schur q-polynomial respectively.
 
-The numerator is antisymmetrized over orbit representatives rather than
-by adding n! permuted copies.  A term whose x-exponents repeat has a
-signed orbit sum of zero and is dropped; every other term is sorted into
-decreasing x-exponents and its coefficient, times the sign of the sort,
-is collected on that representative.  Each representative is then
-expanded once over S_n into the full alternant.  ``schur`` (one
-representative, lam + staircase) and ``monomial_symmetric`` (the plain
-orbit of lam) use the same expansion.
+Its numerator, the alternant of x^kappa * prod_{i<j}(x_i - t x_j), is
+collected on signed orbit representatives.  A term whose x-exponents
+repeat has a signed orbit sum of zero and is dropped; every other term is
+sorted into decreasing x-exponents and its coefficient, times the sign of
+the sort, is collected on that representative.  The alternant is Z[t]-linear
+in the representatives, and the representative x^(mu + rho), rho the
+staircase, divides to a_(mu+rho) / a_rho = s_mu.  So its t-polynomial is
+the coefficient K[mu](t) of s_mu in HL_kappa = sum_mu K[mu](t) s_mu
+(Macdonald, Symmetric Functions and Hall Polynomials, III.2);
+``schur_coefficients`` returns them.  ``hall_littlewood`` is that sum, with
+each s_mu an integer bialternant: its one representative expanded over
+S_n, then the Vandermonde factors stripped one by one with exact synthetic
+division.  A nonzero remainder at any step is a fatal internal error.
+``schur`` is one such bialternant, and ``monomial_symmetric`` is the plain
+orbit sum of lam.
 
 The n! enumeration is capped (default 6 variables); set the environment
 variable GT_ORACLE_NMAX to raise or lower the cap.
@@ -35,7 +39,7 @@ import os
 from functools import lru_cache
 from itertools import chain, permutations, repeat
 from math import factorial, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .polyring import Monomial, Polynomial, generators, monomial, permutation_sign
@@ -83,6 +87,12 @@ def _weyl_denominator(n: int, deform: str | None) -> Polynomial:
                 start=Polynomial.one(n))
 
 
+@lru_cache(maxsize=None)
+def _signs(n: int) -> tuple[int, ...]:
+    # The sign of each permutation, in the order of itertools.permutations(range(n)).
+    return tuple(map(permutation_sign, permutations(range(n))))
+
+
 def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Sequence[int]) -> Polynomial:
     """sum over sigma in S_n of weights[sigma] * sigma(term), over the terms of reps.
 
@@ -98,17 +108,21 @@ def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Sequence[int]) -> 
         for mono, coeff in reps.items()))
 
 
-def _alternant(terms: Mapping[Monomial, int], n: int) -> Polynomial:
-    """sum over sigma in S_n of sign(sigma) * sigma(terms), via orbit representatives."""
-    def signed_reps():
+def _signed_reps(terms: Mapping[Monomial, int], n: int) -> dict[Monomial, int]:
+    """The alternant of terms as {decreasing x-exponents + (q, t): coefficient}."""
+    def pairs():
         for mono, coeff in terms.items():
             xs = mono[:n]
             if len(set(xs)) == n:  # else a transposition fixes it and flips its sign
                 order = sorted(range(n), key=xs.__getitem__, reverse=True)
                 yield tuple(xs[k] for k in order) + mono[n:], permutation_sign(order) * coeff
 
-    signs = [permutation_sign(sigma) for sigma in permutations(range(n))]
-    return _orbit_sum(Polynomial._collect(n, signed_reps())._terms, n, signs)
+    return Polynomial._collect(n, pairs())._terms
+
+
+def _alternant(terms: Mapping[Monomial, int], n: int) -> Polynomial:
+    """sum over sigma in S_n of sign(sigma) * sigma(terms), via orbit representatives."""
+    return _orbit_sum(_signed_reps(terms, n), n, _signs(n))
 
 
 def _divide_vandermonde(p: Polynomial) -> Polynomial:
@@ -121,12 +135,38 @@ def _divide_vandermonde(p: Polynomial) -> Polynomial:
     return p
 
 
+def _bialternant(alpha: tuple[int, ...]) -> Polynomial:
+    # a_alpha / a_rho for strictly decreasing alpha: the Schur polynomial
+    # of alpha - rho, through the exact Vandermonde division.
+    n = len(alpha)
+    return _divide_vandermonde(_orbit_sum({alpha + (0, 0): 1}, n, _signs(n)))
+
+
 def schur(lam: Sequence[int]) -> Polynomial:
     """Schur polynomial via the bialternant: antisymmetrize x^(lam + staircase), divide by the Vandermonde."""
     lam = check_partition(lam)
-    n = len(lam)
+    _check_cap(len(lam))
+    return _bialternant(add_staircase(lam))
+
+
+def schur_coefficients(kappa: Sequence[int]) -> dict[tuple[int, ...], Polynomial]:
+    """The Schur expansion HL_kappa = sum_mu K[mu](t) * s_mu, as {mu: K[mu]}.
+
+    Each K[mu] is a q,t polynomial with n_vars = 0; the partitions mu come
+    in reverse-lexicographic order and carry nonzero coefficients only.
+    ``kappa`` is any nonnegative exponent tuple, as for ``hall_littlewood``.
+    """
+    kappa = tuple(kappa)
+    if any(not isinstance(p, int) or p < 0 for p in kappa):
+        raise ValueError(f"parts must be nonnegative integers: {kappa!r}")
+    n = len(kappa)
     _check_cap(n)
-    return _divide_vandermonde(_alternant({add_staircase(lam) + (0, 0): 1}, n))
+    rho = range(n - 1, -1, -1)
+    base = monomial(1, kappa) * weyl_denominator(n, "t")
+    grouped: dict[tuple[int, ...], dict[Monomial, int]] = {}
+    for mono, coeff in _signed_reps(base._terms, n).items():
+        grouped.setdefault(tuple(map(sub, mono[:n], rho)), {})[mono[n:]] = coeff
+    return {mu: Polynomial._raw(0, grouped[mu]) for mu in sorted(grouped, reverse=True)}
 
 
 def hall_littlewood(kappa: Sequence[int]) -> Polynomial:
@@ -137,12 +177,16 @@ def hall_littlewood(kappa: Sequence[int]) -> Polynomial:
     whatever the defining sum gives.
     """
     kappa = tuple(kappa)
-    if any(not isinstance(p, int) or p < 0 for p in kappa):
-        raise ValueError(f"parts must be nonnegative integers: {kappa!r}")
+    coefficients = schur_coefficients(kappa)
     n = len(kappa)
-    _check_cap(n)
-    base = monomial(1, kappa) * weyl_denominator(n, "t")
-    return _divide_vandermonde(_alternant(base._terms, n))
+    rho = range(n - 1, -1, -1)
+    # Each s_mu is free of q and t, so K[mu](t) * s_mu puts K's (q, t)
+    # exponents on s_mu's x-exponents.
+    return Polynomial._collect(n, (
+        (mono[:n] + qt, c * d)
+        for mu, coeff in coefficients.items()
+        for mono, d in _bialternant(tuple(map(add, mu, rho)))._terms.items()
+        for qt, c in coeff._terms.items()))
 
 
 def monomial_symmetric(lam: Sequence[int]) -> Polynomial:
