@@ -1,9 +1,12 @@
 """Exact Hall-Littlewood polynomials from Gelfand-Tsetlin pattern statistics.
 
 Two independent evaluation routes for the same polynomials: a brute-force
-oracle that antisymmetrizes over all n! permutations and divides exactly,
-and pattern-statistic expansions built from tridiagonal transition
-determinants and raising-operator closures.  The verification suites
+oracle and pattern-statistic expansions built from tridiagonal transition
+determinants and raising-operator closures.  The oracle collects the
+alternant of x^kappa * prod_{i<j}(x_i - t x_j) on its orbit
+representatives; the one on x^(mu + rho) carries the Schur coefficient
+K[mu](t).  It returns sum_mu K[mu](t) * s_mu, where each s_mu is an integer bialternant antisymmetrized over
+all n! permutations and divided exactly.  The verification suites
 check that both routes produce identical polynomials in x, q and t,
 together with the classical specializations (Schur at t = 0, monomial
 orbit sums at t = 1, Schur q-polynomials at t = -1, and Tokuyama's
@@ -54,6 +57,7 @@ from .oracle import (
     max_oracle_vars,
     monomial_symmetric,
     schur,
+    schur_coefficients,
     weyl_denominator,
 )
 from .verify import SUITE_NAMES, CaseResult, VerifyReport, run_suite
@@ -93,6 +97,7 @@ __all__ = [
     "row_weight_sum",
     "run_suite",
     "schur",
+    "schur_coefficients",
     "staircase",
     "stanley_filtered_sum",
     "stanley_sum",

@@ -307,6 +307,7 @@ def test_clear_caches_empties_every_cache():
     ]
     assert caches and any(cache.cache_info().currsize for cache in caches)
     assert oracle._weyl_denominator.cache_info().currsize
+    assert oracle._signs.cache_info().currsize
     assert formulas._tokuyama_factor.cache_info().currsize
     formulas.clear_caches()
     assert all(cache.cache_info().currsize == 0 for cache in caches)

@@ -1,4 +1,6 @@
-from itertools import permutations
+from collections import Counter
+from itertools import accumulate, permutations
+from math import prod
 
 import pytest
 
@@ -9,6 +11,7 @@ from hlgt.oracle import (
     max_oracle_vars,
     monomial_symmetric,
     schur,
+    schur_coefficients,
     weyl_denominator,
 )
 from hlgt.polyring import Polynomial, generators, monomial
@@ -141,13 +144,83 @@ def test_alternant_matches_copy_by_copy_sum(exps):
 
 LITERAL_CASES = [
     kappa for n in (1, 2, 3, 4) for kappa in weakly_decreasing_tuples(n, 2)
-] + [(0, 2, 1), (1, 1, 2), (0, 1, 2, 3)]
+] + [(0, 2, 1), (1, 1, 2), (0, 1, 2, 3)] + list(weakly_decreasing_tuples(5, 1)) + [
+    # non-monotone tuples of the kind the row recursion passes in
+    (0, 2, 1, 1, 0), (1, 0, 2, 0, 1), (2, 0, 1, 1, 0),
+]
 
 
 @pytest.mark.parametrize("kappa", LITERAL_CASES, ids=str)
 def test_hall_littlewood_matches_literal_definition(kappa):
     # n! permuted copies added with their signs, then the Vandermonde division
     assert hall_littlewood(kappa) == oracle._divide_vandermonde(literal_numerator(kappa))
+
+
+def _t_factorial(m):
+    # prod_{j <= m} (1 + t + ... + t^(j-1)), a q,t polynomial
+    return prod((Polynomial(0, {(0, e): 1 for e in range(j)}) for j in range(1, m + 1)),
+                start=Polynomial.one(0))
+
+
+def _dominated(mu, lam):
+    return sum(mu) == sum(lam) and all(a <= b for a, b in zip(accumulate(mu), accumulate(lam)))
+
+
+SCHUR_COEFFICIENT_CASES = [lam for n in range(1, 6) for lam in weakly_decreasing_tuples(n, 3)]
+
+
+@pytest.mark.parametrize("lam", SCHUR_COEFFICIENT_CASES, ids=str)
+def test_schur_coefficients_are_unitriangular_up_to_v_lam(lam):
+    coefficients = schur_coefficients(lam)
+    # K[lam] = v_lam(t), the product of t-factorials of the part multiplicities
+    assert coefficients[lam] == prod(map(_t_factorial, Counter(lam).values()), start=Polynomial.one(0))
+    for mu, coeff in coefficients.items():
+        assert coeff and coeff.n_vars == 0
+        assert _dominated(mu, lam)
+        assert all(q == 0 for q, _ in coeff._terms)
+    at_zero = {mu: coeff.substitute("t", 0) for mu, coeff in coefficients.items()}
+    assert {mu: c for mu, c in at_zero.items() if c} == {lam: Polynomial.one(0)}
+
+
+def test_schur_coefficients_examples():
+    t = Polynomial(0, {(0, 1): 1})
+    assert schur_coefficients((0, 0)) == {(0, 0): 1 + t}
+    assert schur_coefficients((1, 0)) == {(1, 0): Polynomial.one(0)}
+    # HL_(1,1,0) = (1 + t) s_(1,1,0); HL_(2,0) = s_(2,0) - t s_(1,1)
+    assert schur_coefficients((1, 1, 0)) == {(1, 1, 0): 1 + t}
+    assert schur_coefficients((2, 0)) == {(2, 0): Polynomial.one(0), (1, 1): -t}
+    assert list(schur_coefficients((3, 0, 0))) == [(3, 0, 0), (2, 1, 0), (1, 1, 1)]
+
+
+def test_schur_coefficients_of_ascending_tuples():
+    t = Polynomial(0, {(0, 1): 1})
+    for raised, kappa in [((1, 2, 0), (2, 1, 0)), ((2, 1, 2, 1, 0), (2, 2, 1, 1, 0))]:
+        assert schur_coefficients(raised) == {
+            mu: t * coeff for mu, coeff in schur_coefficients(kappa).items()}
+    with pytest.raises(ValueError):
+        schur_coefficients((1, -1))
+
+
+@pytest.mark.parametrize("kappa", [(2, 1, 0), (1, 1, 0, 0), (0, 2, 1)], ids=str)
+def test_hall_littlewood_is_its_schur_expansion(kappa):
+    n = len(kappa)
+    expansion = Polynomial.zero(n)
+    for mu, coeff in schur_coefficients(kappa).items():
+        expansion = expansion + coeff.with_vars(n) * schur(mu)
+    assert hall_littlewood(kappa) == expansion
+
+
+def test_every_bialternant_is_divided_exactly(monkeypatch):
+    # one stray term in any s_mu's alternant must make the division fatal
+    orbit_sum = oracle._orbit_sum
+
+    def perturbed(reps, n, weights):
+        return orbit_sum(reps, n, weights) + monomial(1, (1,) + (0,) * (n - 1))
+
+    monkeypatch.setattr(oracle, "_orbit_sum", perturbed)
+    for kappa in [(1, 0), (2, 1, 0), (0, 1, 1)]:
+        with pytest.raises(ArithmeticError, match="antisymmetry"):
+            hall_littlewood(kappa)
 
 
 def test_oracle_cap(monkeypatch):
@@ -157,6 +230,8 @@ def test_oracle_cap(monkeypatch):
         hall_littlewood((1, 0, 0))
     with pytest.raises(OracleCapError, match="safety cap"):
         schur((1, 0, 0))
+    with pytest.raises(OracleCapError, match="safety cap"):
+        schur_coefficients((1, 0, 0))
     with pytest.raises(OracleCapError, match="safety cap"):
         monomial_symmetric((1, 0, 0))
     monkeypatch.setenv("GT_ORACLE_NMAX", "3")
