@@ -8,7 +8,7 @@ representatives; the one on x^(mu + rho) carries the Schur coefficient
 K[mu](t).  It returns sum_mu K[mu](t) * s_mu, where each s_mu is an integer bialternant antisymmetrized over
 all n! permutations and divided exactly.  The verification suites
 check that both routes produce identical polynomials in x, q and t,
-together with the classical specializations (Schur at t = 0, monomial
+the pattern sums through their exact quotient by v_n(x;q), together with the classical specializations (Schur at t = 0, monomial
 orbit sums at t = 1, Schur q-polynomials at t = -1, and Tokuyama's
 formula).
 """
@@ -42,12 +42,16 @@ from .formulas import (
     RaisingOperator,
     elementary_raise,
     hl_pattern_expansion,
+    hl_pattern_quotient,
+    hl_row_quotient,
     hl_row_recursion,
     pattern_row_weights,
     raising_closure,
     row_weight_sum,
     stanley_filtered_sum,
     stanley_sum,
+    tokuyama_quotient,
+    tokuyama_row_quotient,
     tokuyama_row_recursion,
     tokuyama_sum,
     transition_det,
@@ -82,6 +86,8 @@ __all__ = [
     "generators",
     "hall_littlewood",
     "hl_pattern_expansion",
+    "hl_pattern_quotient",
+    "hl_row_quotient",
     "hl_row_recursion",
     "interleaves",
     "is_strictly_decreasing",
@@ -102,6 +108,8 @@ __all__ = [
     "stanley_filtered_sum",
     "stanley_sum",
     "subdiagonal_weight",
+    "tokuyama_quotient",
+    "tokuyama_row_quotient",
     "tokuyama_row_recursion",
     "tokuyama_sum",
     "transition_det",

@@ -36,7 +36,8 @@ itself; ``stanley_filtered_sum`` the product of the lower row's diagonal
 weights at q = 0, t = -1, or 0 if the pair fails its row-local filter.
 ``hl_row_recursion`` and ``tokuyama_row_recursion`` take one step of the
 same engine under the top row with the oracle's F(mu) = inner(mu - staircase),
-then multiply once by v_{n-1}(x;q) in x_2..x_n; they obey the oracle's cap.
+then multiply once by v_{n-1}(x;q) in x_2..x_n; they and their quotient
+routes obey the oracle's cap.
 
 The engine holds each F(row) as {x-exponents: packed int}: the q,t
 coefficient sum c q^a t^b of an x-monomial packs to
@@ -48,23 +49,39 @@ the edges of a row grouped by their drop |row| - |mu|, since edges of
 different drops never add into the same coefficient.  The top row's
 bounds give stride = t-degree + 1 and byte-aligned fields: the smallest
 of 8, 16, 32 and 64 bits that holds L1.bit_length() + 1.  A larger need
-raises PatternSizeError before any product.  The result is unpacked
-once, each value read as signed machine integers by a memoryview; a
-value beyond the proven q-degree raises ArithmeticError.
+raises PatternSizeError before any product.
+
+The packed result has two exits.  ``unpack`` reads each value once as
+signed machine integers by a memoryview; a value beyond the proven
+q-degree raises ArithmeticError.  The pattern sums and recursions return
+it.  ``_Layout.quotient`` divides the packed result exactly by factors
+x_i - q x_j before anything is unpacked: Horner's rule in x_i, as in
+``Polynomial.divide_by_diff``, in which a factor q is a left shift by
+width * stride bits.  The ``*_quotient`` routes use it: the closed and
+Tokuyama sums divide by v_n(x;q) = prod_{i<j} (x_i - q x_j), a one-row
+step by prod_{j>1} (x_1 - q x_j), and what is left is HL_lam(x;t) or
+s_lam(x).  This division works on the image of the sum at T = 2**width,
+Q = 2**(width * stride).  The quotient counts only with a proof that the
+sum is the factors times it, else QuotientError.  The quotient must
+decode free of q, there must be at most q_deg factors, and every
+x-monomial's L1 norm in the product must fit a field.  Then the sum and
+the product lie in the layout's injective range, and their images are
+equal, so they are equal.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress
 from math import prod
+from operator import add
 from typing import Sequence
 
 from . import oracle
-from .polyring import Polynomial, constant
+from .polyring import Polynomial, constant, synthetic_division
 from .patterns import (
     ALMOST_LEFT,
     LEFT,
@@ -201,6 +218,10 @@ class PatternSizeError(ValueError):
     """A pattern sum whose packed q,t coefficients would need fields over 64 bits."""
 
 
+class QuotientError(ArithmeticError):
+    """A packed pattern sum not proven to be a product of x_i - q x_j factors and its quotient."""
+
+
 # Field width in bits -> the memoryview format of that signed machine integer.
 _FIELD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
@@ -271,6 +292,78 @@ class _Layout:
             update(zip(map(xs.__add__, compress(slots, digits)), compress(digits, digits)))
         return Polynomial._raw(n_vars, terms)
 
+    def quotient(self, n_vars: int, packed: dict[tuple[int, ...], int],
+                 factors: Sequence[tuple[int, int]]) -> Polynomial:
+        """The q-free H with packed = prod over factors (i, j) of (x_i - q x_j) * H.
+
+        ``packed`` must lie in this layout's range, as ``_row_sums`` proves
+        of its result.  Each factor divides with Horner's rule in x_i on
+        the packed values, in which a factor q is a left shift by
+        width * stride bits.  That is exact division in Z[x] of the image
+        at T = 2**width, Q = 2**(width * stride), and H is decoded from
+        the image's quotient with no q fields.  Equal images prove equal
+        polynomials once the product of the factors and H lies in the
+        layout's range too.  So the quotient counts only when
+        - every division leaves no remainder;
+        - the quotient decodes with no q field, so H is free of q;
+        - there are at most q_deg factors;
+        - every x-monomial's L1 norm in the product is below
+          2**(width - 1).  An x-monomial of the product of the factors
+          has L1 norm equal to its number of picks, one variable per
+          factor, since each pick of x_j carries -q.  So 2**len(factors)
+          * max L1(H) bounds the product's norms, and when it does not
+          fit, their convolution with H's per-x-monomial norms does.
+
+        Otherwise it raises QuotientError.
+        """
+        if len(factors) > self.q_deg:
+            raise QuotientError(
+                f"{len(factors)} factors x_i - q x_j exceed the proven q-degree {self.q_deg}")
+        shift = self.width * (self.t_deg + 1)
+        for i, j in factors:
+            packed, exact = synthetic_division(packed, i, j, shift)
+            if not exact:
+                raise QuotientError(f"x{i + 1} - q*x{j + 1} does not divide the pattern sum")
+        try:
+            h = replace(self, q_deg=0).unpack(n_vars, packed)
+        except ArithmeticError:
+            raise QuotientError("the quotient by the x_i - q x_j factors holds q") from None
+        l1: dict[tuple[int, ...], int] = {}
+        for mono, c in h._terms.items():
+            xs = mono[:n_vars]
+            l1[xs] = l1.get(xs, 0) + abs(c)
+        limit = 1 << (self.width - 1)
+        if (max(l1.values(), default=0) << len(factors) >= limit
+                and _product_l1(_factor_counts(n_vars, tuple(factors)), l1) >= limit):
+            raise QuotientError(
+                f"the product of the quotient and its factors may overflow {self.width}-bit fields")
+        return h
+
+
+@lru_cache(maxsize=None)
+def _factor_counts(n_vars: int, factors: tuple[tuple[int, int], ...]) -> dict[tuple[int, ...], int]:
+    # {x-exponents e: the number of ways to pick x_i or x_j from each
+    # factor (i, j) with product x^e}.
+    counts = {(0,) * n_vars: 1}
+    for pair in factors:
+        step: dict[tuple[int, ...], int] = {}
+        for e, c in counts.items():
+            for k in pair:
+                key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                step[key] = step.get(key, 0) + c
+        counts = step
+    return counts
+
+
+def _product_l1(counts: dict[tuple[int, ...], int], l1: dict[tuple[int, ...], int]) -> int:
+    # The largest coefficient of the product of the two x-polynomials.
+    sums: dict[tuple[int, ...], int] = {}
+    for f, a in counts.items():
+        for g, b in l1.items():
+            key = tuple(map(add, f, g))
+            sums[key] = sums.get(key, 0) + a * b
+    return max(sums.values(), default=0)
+
 
 def _bounds(poly: Polynomial) -> tuple[int, int, int]:
     # (q-degree, t-degree, largest L1 norm of one x-monomial's q,t coefficient)
@@ -309,8 +402,9 @@ def _top_bounds(top: tuple[int, ...], levels: list[dict], base: dict) -> tuple[i
     return bounds[top]
 
 
-def _row_sums(top: tuple[int, ...], levels: list[dict], base: dict) -> Polynomial:
-    """F(top): the row step applied level by level, bottom up, over base.
+def _row_sums(top: tuple[int, ...], levels: list[dict],
+              base: dict) -> tuple[dict[tuple[int, ...], int], _Layout]:
+    """F(top), packed, and its layout: the row step applied level by level, bottom up, over base.
 
     ``levels`` lists, top row first, each level's rows mapped to their
     (mu, weight) edges; the last level's next rows mu are the keys of
@@ -328,7 +422,8 @@ def _row_sums(top: tuple[int, ...], levels: list[dict], base: dict) -> Polynomia
     only.  Each product has L1 norm at most L1(weight) * L1(F(mu)), so
     the largest per-drop sum of these bounds it.  Every row is reachable
     from top through nonzero weights, so top's bounds cover all rows and
-    fix one layout of byte-aligned fields of at most 64 bits.
+    fix one layout of byte-aligned fields of at most 64 bits.  F(top)
+    lies in its range.
     """
     layout = _Layout.proven(*_top_bounds(top, levels, base))
     below = {mu: layout.pack(f) for mu, f in base.items()}
@@ -345,11 +440,14 @@ def _row_sums(top: tuple[int, ...], levels: list[dict], base: dict) -> Polynomia
                     out[key] = get(key, 0) + w * f
             above[row] = out
         below = above
-    return layout.unpack(len(top), below[top])
+    return below[top], layout
 
 
-def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
-    """F(top) of the row transfer in the module docstring, one row length at a time."""
+def _transfer(top: tuple[int, ...], edge_weight, divide: bool = False) -> Polynomial:
+    """F(top) of the row transfer in the module docstring, one row length at a time.
+
+    With ``divide``, the proven quotient of F(top) by v_n(x;q) instead.
+    """
     # Top down: the rows of each length reachable through nonzero weights,
     # each mapped to its (next row, weight) edges.
     levels: list[dict] = [{top: None}]
@@ -359,7 +457,11 @@ def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
                                if is_strictly_decreasing(mu) and (w := edge_weight(row, mu))]
         levels.append(dict.fromkeys(mu for edges in levels[-1].values() for mu, _ in edges))
     base = {row: Polynomial._raw(1, {(row[0], 0, 0): 1}) for row in levels.pop()}
-    return _row_sums(top, levels, base)
+    packed, layout = _row_sums(top, levels, base)
+    n = len(top)
+    if divide:
+        return layout.quotient(n, packed, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return layout.unpack(n, packed)
 
 
 def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
@@ -370,6 +472,15 @@ def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
     transition determinants, times x^weight.
     """
     return _transfer(add_staircase(check_partition(lam)), _row_weight_sum)
+
+
+def hl_pattern_quotient(lam: Sequence[int]) -> Polynomial:
+    """HL_lam(x;t) as the exact quotient of hl_pattern_expansion(lam) by v_n(x;q).
+
+    Divides the packed sum before it is unpacked; raises QuotientError
+    unless the sum is proven to be v_n(x;q) times the returned polynomial.
+    """
+    return _transfer(add_staircase(check_partition(lam)), _row_weight_sum, divide=True)
 
 
 @lru_cache(maxsize=None)
@@ -390,20 +501,35 @@ def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
     return _transfer(add_staircase(check_partition(lam)), _tokuyama_weight)
 
 
-def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
-    # One _row_step under alpha = lam + staircase, with the oracle's
-    # F(mu) = inner(mu - staircase), times v_{n-1}(x;q) in x_2..x_n.
+def tokuyama_quotient(lam: Sequence[int]) -> Polynomial:
+    """s_lam(x) as the exact quotient of tokuyama_sum(lam) by v_n(x;q), as in hl_pattern_quotient."""
+    return _transfer(add_staircase(check_partition(lam)), _tokuyama_weight, divide=True)
+
+
+def _one_step(lam: Sequence[int], weight, inner, divide: bool = False) -> Polynomial:
+    # One row step under alpha = lam + staircase, with the oracle's
+    # F(mu) = inner(mu - staircase), times v_{n-1}(x;q) in x_2..x_n; with
+    # divide, its proven quotient by prod_{j>1} (x_1 - q x_j) instead.
     lam = check_partition(lam)
     n = len(lam)
     oracle._check_cap(n)
     alpha = add_staircase(lam)
     if n == 1:
-        return Polynomial(1, {(alpha[0], 0, 0): 1})
-    rho = staircase(n - 1)
-    edges = [(mu, w) for mu in _interleavings(alpha) if (w := weight(alpha, mu))]
-    base = {mu: inner(tuple(m - r for m, r in zip(mu, rho))) for mu, _ in edges}
-    step = _row_sums(alpha, [{alpha: edges}], base)
-    return step * oracle.weyl_denominator(n - 1, "q").shift_vars(0, n)
+        levels, base = [], {alpha: Polynomial._raw(1, {(alpha[0], 0, 0): 1})}
+    else:
+        rho = staircase(n - 1)
+        edges = [(mu, w) for mu in _interleavings(alpha) if (w := weight(alpha, mu))]
+        levels = [{alpha: edges}]
+        base = {mu: inner(tuple(m - r for m, r in zip(mu, rho))) for mu, _ in edges}
+    packed, layout = _row_sums(alpha, levels, base)
+    if divide:
+        return layout.quotient(n, packed, [(0, j) for j in range(1, n)])
+    return layout.unpack(n, packed) * oracle.weyl_denominator(n - 1, "q").shift_vars(0, n)
+
+
+def _det_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
+    # Every mu comes from _interleavings(alpha), so label it unchecked.
+    return _det_recurrence(_row_labels(alpha, mu))
 
 
 def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
@@ -415,9 +541,20 @@ def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
     with the Hall-Littlewood factor taken from the brute-force oracle.
     Non-strict mu feed exponent tuples with ascents straight into it.
     """
-    # Every mu comes from _interleavings(alpha), so label it unchecked.
-    return _one_step(lam, lambda alpha, mu: _det_recurrence(_row_labels(alpha, mu)),
-                     oracle.hall_littlewood)
+    return _one_step(lam, _det_weight, oracle.hall_littlewood)
+
+
+def hl_row_quotient(lam: Sequence[int]) -> Polynomial:
+    """HL_lam(x;t) as the exact quotient of hl_row_recursion's row step by prod_{j>1} (x_1 - q x_j).
+
+    The row step is hl_row_recursion(lam) before its factor v_{n-1}(x;q)
+    in x_2..x_n; raises QuotientError as hl_pattern_quotient does.
+    """
+    return _one_step(lam, _det_weight, oracle.hall_littlewood, divide=True)
+
+
+def _strict_tokuyama_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
+    return _tokuyama_weight(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
 
 
 def tokuyama_row_recursion(lam: Sequence[int]) -> Polynomial:
@@ -427,10 +564,12 @@ def tokuyama_row_recursion(lam: Sequence[int]) -> Polynomial:
     left-leaning, one equal to neither neighbour of alpha as special;
     non-strict mu drop out because their Schur factor vanishes.
     """
-    def weight(alpha, mu):
-        return _tokuyama_weight(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
+    return _one_step(lam, _strict_tokuyama_weight, oracle.schur)
 
-    return _one_step(lam, weight, oracle.schur)
+
+def tokuyama_row_quotient(lam: Sequence[int]) -> Polynomial:
+    """s_lam(x) as the exact quotient of tokuyama_row_recursion's row step, as in hl_row_quotient."""
+    return _one_step(lam, _strict_tokuyama_weight, oracle.schur, divide=True)
 
 
 def _stanley_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
@@ -479,5 +618,6 @@ def clear_caches() -> None:
     raising_closure.cache_clear()
     _det_recurrence.cache_clear()
     _tokuyama_factor.cache_clear()
+    _factor_counts.cache_clear()
     oracle._weyl_denominator.cache_clear()
     oracle._signs.cache_clear()

@@ -241,34 +241,8 @@ class Polynomial:
         n = self.n_vars
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"invalid variable pair ({i}, {j}) for {n} variables")
-        if not self._terms:
-            return self
-        # Horner's rule in x_i, highest degree first, on one remainder: the
-        # term c*x_i^k*r moves to the quotient as c*x_i^(k-1)*r and leaves
-        # c*x_i^(k-1)*x_j*r one degree lower.  levels[k] lists the remainder
-        # keys of x_i-degree k, including those created from degree k + 1.
-        remainder = dict(self._terms)
-        levels: dict[int, list[Monomial]] = {}
-        for mono in remainder:
-            levels.setdefault(mono[i], []).append(mono)
-        quotient: dict[Monomial, int] = {}
-        for k in range(max(levels), 0, -1):
-            lower = levels.setdefault(k - 1, [])
-            for mono in levels[k]:
-                c = remainder.pop(mono)
-                if not c:  # cancelled by a term carried down from degree k + 1
-                    continue
-                exps = list(mono)
-                exps[i] = k - 1
-                quotient[tuple(exps)] = c
-                exps[j] += 1
-                moved = tuple(exps)
-                if moved in remainder:
-                    remainder[moved] += c
-                else:
-                    remainder[moved] = c
-                    lower.append(moved)
-        if any(remainder.values()):
+        quotient, exact = synthetic_division(self._terms, i, j)
+        if not exact:
             raise ArithmeticError(
                 f"(x{i + 1} - x{j + 1}) does not divide exactly; "
                 "antisymmetry invariant broken upstream"
@@ -365,6 +339,47 @@ class Polynomial:
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":
         return cls.from_dict(json.loads(text))
+
+
+# ----------------------------------------------------------------------
+# exact division by a linear factor
+
+def synthetic_division(terms: Mapping[Monomial, int], i: int, j: int,
+                       shift: int = 0) -> tuple[dict[Monomial, int], bool]:
+    """Divide terms by (x_i - 2**shift * x_j) with Horner's rule in x_i.
+
+    ``terms`` maps exponent tuples, whose slots i and j are x-exponents, to
+    int coefficients.  Returns the quotient and whether the remainder is
+    zero.  Highest x_i-degree first, the term c*x_i^k*r moves to the
+    quotient as c*x_i^(k-1)*r and leaves (c << shift)*x_i^(k-1)*x_j*r one
+    degree lower.  ``levels[k]`` lists the remainder keys of x_i-degree k,
+    including those created from degree k + 1.  With ``shift`` 0 this is
+    division by (x_i - x_j); a packed q,t coefficient divides by
+    (x_i - q x_j) with ``shift`` the bit offset of q.
+    """
+    remainder = dict(terms)
+    levels: dict[int, list[Monomial]] = {}
+    for mono in remainder:
+        levels.setdefault(mono[i], []).append(mono)
+    quotient: dict[Monomial, int] = {}
+    for k in range(max(levels, default=0), 0, -1):
+        lower = levels.setdefault(k - 1, [])
+        for mono in levels[k]:
+            c = remainder.pop(mono)
+            if not c:  # cancelled by a term carried down from degree k + 1
+                continue
+            exps = list(mono)
+            exps[i] = k - 1
+            quotient[tuple(exps)] = c
+            exps[j] += 1
+            moved = tuple(exps)
+            c <<= shift
+            if moved in remainder:
+                remainder[moved] += c
+            else:
+                remainder[moved] = c
+                lower.append(moved)
+    return quotient, not any(remainder.values())
 
 
 # ----------------------------------------------------------------------

@@ -251,8 +251,9 @@ def test_verify_rejects_garbage_oracle_cap(capsys, monkeypatch):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
+    # The tokuyama suite checks Tokuyama's sum through its quotient by v_n(x;q).
     monkeypatch.setattr(
-        formulas, "tokuyama_sum", lambda lam: Polynomial.zero(len(lam))
+        formulas, "tokuyama_quotient", lambda lam: Polynomial.zero(len(lam))
     )
     code, out, _ = run(
         capsys, "verify", "--n", "1", "--max-part", "0", "--suite", "tokuyama"

@@ -400,3 +400,126 @@ def test_unpack_rejects_a_digit_beyond_the_proven_q_degree(p, beyond, t, c):
     stray = Polynomial(0, {(2 + beyond, t): c})
     with pytest.raises(ArithmeticError, match="beyond q-degree 2"):
         layout.unpack(0, {(): packed(layout, p + stray)})
+
+
+# ----------------------------------------------------------------------
+# the pattern sums in the quotient: exact packed division by x_i - q x_j
+
+QUOTIENT_GRID = [
+    lam for n in range(1, 6) for lam in weakly_decreasing_tuples(n, 3)
+] + list(weakly_decreasing_tuples(6, 1))  # 132
+
+# name -> (quotient route, the oracle polynomial it must equal)
+QUOTIENT_ROUTES = {
+    "closed": (formulas.hl_pattern_quotient, oracle.hall_littlewood),
+    "tokuyama": (formulas.tokuyama_quotient, oracle.schur),
+    "hl_row": (formulas.hl_row_quotient, oracle.hall_littlewood),
+    "tokuyama_row": (formulas.tokuyama_row_quotient, oracle.schur),
+}
+
+
+@pytest.mark.parametrize("route", sorted(QUOTIENT_ROUTES))
+@pytest.mark.parametrize("lam", QUOTIENT_GRID, ids=lambda lam: ",".join(map(str, lam)))
+def test_quotients_equal_the_oracle(route, lam):
+    quotient, expected = QUOTIENT_ROUTES[route]
+    assert quotient(lam) == expected(lam)
+
+
+def pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def proven_packing(poly):
+    layout = formulas._Layout.proven(*formulas._bounds(poly))
+    return layout, layout.pack(poly)
+
+
+CLOSED_2110 = hl_pattern_expansion((2, 1, 1, 0))
+
+
+def test_packed_division_of_a_closed_sum_gives_hl():
+    layout, dividend = proven_packing(CLOSED_2110)
+    assert layout.quotient(4, dividend, pairs(4)) == oracle.hall_littlewood((2, 1, 1, 0))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_a_field_changed_by_one_raises(data):
+    layout, dividend = proven_packing(CLOSED_2110)
+    xs = data.draw(st.sampled_from(sorted(dividend)))
+    field = data.draw(st.integers(0, (layout.q_deg + 1) * (layout.t_deg + 1) - 1))
+    dividend[xs] += data.draw(st.sampled_from([-1, 1])) << layout.width * field
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        layout.quotient(4, dividend, pairs(4))
+
+
+@pytest.mark.parametrize("route", sorted(QUOTIENT_ROUTES))
+def test_a_perturbed_engine_result_raises(route, monkeypatch):
+    # The engine's own packed result, one q,t coefficient off by one.
+    row_sums = formulas._row_sums
+
+    def perturbed(*args):
+        packed, layout = row_sums(*args)
+        packed[min(packed)] += 1 << layout.width
+        return packed, layout
+
+    monkeypatch.setattr(formulas, "_row_sums", perturbed)
+    quotient, _ = QUOTIENT_ROUTES[route]
+    with pytest.raises(formulas.QuotientError):
+        quotient((2, 1, 0))
+
+
+def test_a_quotient_holding_q_raises():
+    x1 = monomial(1, (1, 0))
+    layout, dividend = proven_packing(oracle.weyl_denominator(2, "q") * parameter("q", 2) * x1)
+    with pytest.raises(formulas.QuotientError, match="holds q"):
+        layout.quotient(2, dividend, pairs(2))
+
+
+def test_more_factors_than_the_proven_q_degree_raise():
+    layout, dividend = proven_packing(monomial(1, (2, 0)))
+    with pytest.raises(formulas.QuotientError, match="exceed the proven q-degree 0"):
+        layout.quotient(2, dividend, pairs(2))
+
+
+def count_convolutions(monkeypatch):
+    calls = []
+    product_l1 = formulas._product_l1
+
+    def spy(*args):
+        calls.append(product_l1(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(formulas, "_product_l1", spy)
+    return calls
+
+
+def test_a_failed_cheap_bound_falls_back_to_the_convolution(monkeypatch):
+    # H = 127 (x1^2 + x2^2): 2 * max L1(H) = 254 does not fit 8-bit fields,
+    # but (x1 - q x2) * H has L1 norm 127 at each of its x-monomials.
+    calls = count_convolutions(monkeypatch)
+    h = monomial(127, (2, 0)) + monomial(127, (0, 2))
+    layout = formulas._Layout(8, 1, 0)
+    dividend = layout.pack(oracle.weyl_denominator(2, "q") * h)
+    assert layout.quotient(2, dividend, [(0, 1)]) == h
+    assert calls == [127]
+
+
+def test_a_product_beyond_the_fields_raises(monkeypatch):
+    # H = 127 (x1 + x2): (x1 - q x2) * H has L1 norm 254 at x1 x2.
+    calls = count_convolutions(monkeypatch)
+    h = monomial(127, (1, 0)) + monomial(127, (0, 1))
+    layout = formulas._Layout(8, 1, 0)
+    dividend = layout.pack(oracle.weyl_denominator(2, "q") * h)
+    with pytest.raises(formulas.QuotientError, match="overflow 8-bit fields"):
+        layout.quotient(2, dividend, [(0, 1)])
+    assert calls == [254]
+
+
+def test_factor_counts_are_the_l1_norms_of_the_product():
+    for n in range(1, 5):
+        v = oracle.weyl_denominator(n, "q")
+        norms = {}
+        for mono, c in v._terms.items():
+            norms[mono[:n]] = norms.get(mono[:n], 0) + abs(c)
+        assert formulas._factor_counts(n, tuple(pairs(n))) == norms

@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from hlgt import formulas
 from hlgt.polyring import Polynomial
-from hlgt.verify import CaseResult, check_case, grid, run_suite
+from hlgt.verify import SUITE_NAMES, CaseResult, check_case, grid, run_suite
 
 
 def test_grid_enumeration():
@@ -53,8 +56,37 @@ def test_unknown_suite_rejected():
 
 
 def test_failure_is_reported(monkeypatch):
+    # The tokuyama suite checks Tokuyama's sum through its quotient by v_n(x;q).
     monkeypatch.setattr(
-        formulas, "tokuyama_sum", lambda lam: Polynomial.zero(len(lam))
+        formulas, "tokuyama_quotient", lambda lam: Polynomial.zero(len(lam))
     )
     report = run_suite("tokuyama", 1, 1)
-    assert report.failed > 0
+    failing = {c.identity for c in report.cases if not c.ok}
+    assert failing == {"tokuyama=vq*schur", "closed@t=0=tokuyama"}
+
+
+@pytest.mark.parametrize("suite", ["main", "recursive", "tokuyama"])
+def test_a_sum_that_v_does_not_divide_fails_its_identity(suite, monkeypatch):
+    # One q,t coefficient of every packed engine result off by one.
+    row_sums = formulas._row_sums
+
+    def perturbed(*args):
+        packed, layout = row_sums(*args)
+        packed[min(packed)] += 1
+        return packed, layout
+
+    monkeypatch.setattr(formulas, "_row_sums", perturbed)
+    results = check_case(suite, (2, 1, 0))
+    assert results and not any(c.ok for c in results)
+
+
+def test_identities_and_verdicts_on_the_n4_grid_are_pinned():
+    # (suite, lambda, identity, ok) for every suite on grid(4, 3), as the
+    # oracle-product comparison gave them before the quotient routes.
+    rows = [[suite, list(lam), c.identity, c.ok]
+            for lam in grid(4, 3)
+            for suite in SUITE_NAMES[:-1]
+            for c in check_case(suite, lam)]
+    assert len(rows) == 681 and all(ok for *_, ok in rows)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "504dbb1fc4ad0cff857c4865030d75e7d3911d12a58089eb55f84fa72457ae19"
