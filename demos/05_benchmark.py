@@ -1,10 +1,11 @@
-"""Timing the O(n!) oracle against the GT-pattern evaluation.
+"""Timing the O(n!) oracle against the GT-pattern route to HL_lam(x;t).
 
 The oracle antisymmetrizes over all n! permutations and divides exactly;
-the pattern expansion sums over strict GT patterns, row by row.  This runs
-``hlgt bench``, which times both routes on every partition, checks that
-they give the identical polynomial before it writes a row, and prints a
-table followed by the same rows as CSV.
+the pattern route sums over strict GT patterns, row by row, and divides
+the sum exactly by v_n(x;q) with a proof.  This runs ``hlgt bench``,
+which times both routes on every partition, checks that they give the
+identical HL_lam before it writes a row, and prints a table followed by
+the same rows as CSV.
 """
 
 import sys

@@ -5,12 +5,12 @@ oracle and pattern-statistic expansions built from tridiagonal transition
 determinants and raising-operator closures.  The oracle collects the
 alternant of x^kappa * prod_{i<j}(x_i - t x_j) on its orbit
 representatives; the one on x^(mu + rho) carries the Schur coefficient
-K[mu](t).  It returns sum_mu K[mu](t) * s_mu, where each s_mu is an integer bialternant antisymmetrized over
-all n! permutations and divided exactly.  The verification suites
-check that both routes produce identical polynomials in x, q and t,
-the pattern sums through their exact quotient by v_n(x;q), together with the classical specializations (Schur at t = 0, monomial
-orbit sums at t = 1, Schur q-polynomials at t = -1, and Tokuyama's
-formula).
+K[mu](t).  It returns sum_mu K[mu](t) * s_mu, each s_mu an integer
+bialternant over all n! permutations, divided exactly.  The verification
+suites check that both routes agree in x, q and t, with the classical
+specializations (Schur at t = 0, monomial orbit sums at t = 1, Schur
+q-polynomials at t = -1, Tokuyama's formula).  Every identity with the
+factor v_n(x;q) is checked in the pattern sum's exact quotient by it.
 """
 
 from .polyring import (

@@ -306,10 +306,9 @@ def test_bench_rejects_garbage_oracle_cap(capsys, monkeypatch):
     assert err.startswith("error: ") and "GT_ORACLE_NMAX must be an integer" in err
 
 
-def test_bench_fails_when_routes_differ(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        formulas, "hl_pattern_expansion", lambda lam: Polynomial.zero(len(lam))
-    )
+def _bench_with_quotient(tmp_path, capsys, monkeypatch, quotient):
+    # bench compares the oracle's HL with the closed route's proven quotient.
+    monkeypatch.setattr(formulas, "hl_pattern_quotient", quotient)
     target = tmp_path / "bench.csv"
     code, out, err = run(
         capsys, "bench", "--n", "2", "--max-part", "1", "--repeats", "1",
@@ -319,6 +318,18 @@ def test_bench_fails_when_routes_differ(tmp_path, capsys, monkeypatch):
     assert "differ" in err
     assert out == ""
     assert not target.exists()
+
+
+def test_bench_fails_when_routes_differ(tmp_path, capsys, monkeypatch):
+    _bench_with_quotient(tmp_path, capsys, monkeypatch,
+                         lambda lam: Polynomial.zero(len(lam)))
+
+
+def test_bench_fails_when_the_quotient_is_unproven(tmp_path, capsys, monkeypatch):
+    def unproven(lam):
+        raise formulas.QuotientError("forced")
+
+    _bench_with_quotient(tmp_path, capsys, monkeypatch, unproven)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -65,7 +65,16 @@ def test_failure_is_reported(monkeypatch):
     assert failing == {"tokuyama=vq*schur", "closed@t=0=tokuyama"}
 
 
-@pytest.mark.parametrize("suite", ["main", "recursive", "tokuyama"])
+# The identities each suite fails when the engine's sums are wrong.  The
+# stanley sums go through the same engine; monomial's oracle-only
+# hl@t=1=monomial still passes.
+_FAILED_BY_PERTURBATION = {
+    "stanley": {"closed@q=-1,t=0=v(-1)*schur", "filtered=x^rho*hl@t=-1", "stanley=hl@t=-1"},
+    "monomial": {"closed@t=1=vq*monomial"},
+}
+
+
+@pytest.mark.parametrize("suite", ["main", "recursive", "tokuyama", "stanley", "monomial"])
 def test_a_sum_that_v_does_not_divide_fails_its_identity(suite, monkeypatch):
     # One q,t coefficient of every packed engine result off by one.
     row_sums = formulas._row_sums
@@ -77,7 +86,21 @@ def test_a_sum_that_v_does_not_divide_fails_its_identity(suite, monkeypatch):
 
     monkeypatch.setattr(formulas, "_row_sums", perturbed)
     results = check_case(suite, (2, 1, 0))
-    assert results and not any(c.ok for c in results)
+    if suite in _FAILED_BY_PERTURBATION:
+        assert {c.identity for c in results if not c.ok} == _FAILED_BY_PERTURBATION[suite]
+    else:
+        assert results and not any(c.ok for c in results)
+
+
+@pytest.mark.parametrize("suite", ["stanley", "monomial"])
+def test_an_unproven_quotient_fails_the_closed_identity(suite, monkeypatch):
+    def unproven(lam):
+        raise formulas.QuotientError("forced")
+
+    monkeypatch.setattr(formulas, "hl_pattern_quotient", unproven)
+    results = check_case(suite, (2, 1, 0))
+    failing = [c.identity for c in results if not c.ok]
+    assert len(failing) == 1 and failing[0].startswith("closed@")
 
 
 def test_identities_and_verdicts_on_the_n4_grid_are_pinned():
