@@ -479,8 +479,16 @@ def hl_pattern_quotient(lam: Sequence[int]) -> Polynomial:
 
     Divides the packed sum before it is unpacked; raises QuotientError
     unless the sum is proven to be v_n(x;q) times the returned polynomial.
+    A proven quotient is memoized per partition until ``clear_caches``.
     """
-    return _transfer(add_staircase(check_partition(lam)), _row_weight_sum, divide=True)
+    return _hl_quotient(check_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _hl_quotient(lam: tuple[int, ...]) -> Polynomial:
+    # One proven quotient per checked partition, shared by the verify suites
+    # that each compare it with the oracle; a QuotientError is not cached.
+    return _transfer(add_staircase(lam), _row_weight_sum, divide=True)
 
 
 @lru_cache(maxsize=None)
@@ -614,10 +622,20 @@ def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:
 
 
 def clear_caches() -> None:
-    """Drop all memoized determinants, closures, Weyl denominators and sign tables (benchmark hygiene)."""
+    """Drop every memo table of the program, so the next call starts cold.
+
+    That is the determinants, closures, Tokuyama factors and factor
+    counts here, the proven quotients of ``hl_pattern_quotient``, and the
+    oracle's Weyl denominators, sign tables and Schur coefficients.
+    Within one process these tables are shared by every call, so one
+    ``hlgt verify`` run computes each entry once; ``hlgt bench`` clears
+    them before each timed call.
+    """
     raising_closure.cache_clear()
     _det_recurrence.cache_clear()
     _tokuyama_factor.cache_clear()
     _factor_counts.cache_clear()
+    _hl_quotient.cache_clear()
     oracle._weyl_denominator.cache_clear()
     oracle._signs.cache_clear()
+    oracle._schur_coefficients.cache_clear()

@@ -29,6 +29,12 @@ division.  A nonzero remainder at any step is a fatal internal error.
 ``schur`` is one such bialternant, and ``monomial_symmetric`` is the plain
 orbit sum of lam.
 
+The signed-representative pass behind ``schur_coefficients`` is memoized
+per input tuple, so one process runs it once per kappa;
+``formulas.clear_caches`` empties the table.  The part check and the cap
+run on every call, outside the memo, and ``schur_coefficients`` returns
+a fresh dict each time.
+
 The n! enumeration is capped (default 6 variables); set the environment
 variable GT_ORACLE_NMAX to raise or lower the cap.
 """
@@ -159,14 +165,20 @@ def schur_coefficients(kappa: Sequence[int]) -> dict[tuple[int, ...], Polynomial
     kappa = tuple(kappa)
     if any(not isinstance(p, int) or p < 0 for p in kappa):
         raise ValueError(f"parts must be nonnegative integers: {kappa!r}")
+    _check_cap(len(kappa))
+    return dict(_schur_coefficients(kappa))
+
+
+@lru_cache(maxsize=None)
+def _schur_coefficients(kappa: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Polynomial], ...]:
+    # schur_coefficients of a checked tuple, as (mu, K[mu]) pairs.
     n = len(kappa)
-    _check_cap(n)
     rho = range(n - 1, -1, -1)
     base = monomial(1, kappa) * weyl_denominator(n, "t")
     grouped: dict[tuple[int, ...], dict[Monomial, int]] = {}
     for mono, coeff in _signed_reps(base._terms, n).items():
         grouped.setdefault(tuple(map(sub, mono[:n], rho)), {})[mono[n:]] = coeff
-    return {mu: Polynomial._raw(0, grouped[mu]) for mu in sorted(grouped, reverse=True)}
+    return tuple((mu, Polynomial._raw(0, grouped[mu])) for mu in sorted(grouped, reverse=True))
 
 
 def hall_littlewood(kappa: Sequence[int]) -> Polynomial:

@@ -17,6 +17,12 @@ this holds exactly when the sum's specialization is v_n times them.  A
 sum those routes cannot prove to be such a product fails its identity.
 A one-row step is divided by prod_{j>1} (x_1 - q x_j) only, since its
 other factor v_{n-1}(x;q) is applied after the step.
+
+The suites of one run share work through the memo tables of the routes
+they call: each partition's proven closed quotient and each oracle
+input's Schur coefficients are computed once per process, however many
+identities compare them.  Input checks, the oracle's cap and a failed
+proof are never memoized.  ``formulas.clear_caches`` empties the tables.
 """
 
 from __future__ import annotations

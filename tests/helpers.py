@@ -1,10 +1,12 @@
-"""Shared test utilities: independent determinant, pattern-sum, alternant and JSON oracles, tuple grids."""
+"""Shared test utilities: independent determinant, pattern-sum, alternant and JSON oracles, tuple grids, memo spies."""
 
 import json
 from itertools import combinations, permutations
 
 from hlgt import (
     Polynomial,
+    formulas,
+    oracle,
     constant,
     diagonal_weight,
     entry_labels,
@@ -139,3 +141,25 @@ def reference_json(poly):
             for m, c in canonical_terms(poly)
         ],
     })
+
+
+def count_memoized_work(monkeypatch):
+    """Count the runs of the divided closed transfer and of the Schur-coefficient pass.
+
+    Both sit below their memo tables, so the counts are cache misses.
+    """
+    counts = {"closed_quotient": 0, "schur_coefficients": 0}
+    transfer, signed_reps = formulas._transfer, oracle._signed_reps
+
+    def spy_transfer(top, edge_weight, divide=False):
+        if divide and edge_weight is formulas._row_weight_sum:
+            counts["closed_quotient"] += 1
+        return transfer(top, edge_weight, divide)
+
+    def spy_signed_reps(terms, n):
+        counts["schur_coefficients"] += 1
+        return signed_reps(terms, n)
+
+    monkeypatch.setattr(formulas, "_transfer", spy_transfer)
+    monkeypatch.setattr(oracle, "_signed_reps", spy_signed_reps)
+    return counts

@@ -10,6 +10,8 @@ from hlgt import formulas
 from hlgt.cli import main
 from hlgt.polyring import Polynomial
 
+from helpers import count_memoized_work
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -304,6 +306,14 @@ def test_bench_rejects_garbage_oracle_cap(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "GT_ORACLE_NMAX must be an integer" in err
+
+
+def test_bench_times_no_cache_hit(capsys, monkeypatch):
+    # Four partitions, three timed calls of each route: every call misses.
+    calls = count_memoized_work(monkeypatch)
+    code, _, _ = run(capsys, "bench", "--n", "3", "--max-part", "1", "--repeats", "3")
+    assert code == 0
+    assert calls == {"closed_quotient": 12, "schur_coefficients": 12}
 
 
 def _bench_with_quotient(tmp_path, capsys, monkeypatch, quotient):

@@ -27,6 +27,7 @@ from hlgt.formulas import (
 )
 
 from helpers import (
+    count_memoized_work,
     filtered_pair_weight,
     laplace_det,
     pattern_sum_reference,
@@ -309,6 +310,10 @@ def test_clear_caches_empties_every_cache():
     assert oracle._weyl_denominator.cache_info().currsize
     assert oracle._signs.cache_info().currsize
     assert formulas._tokuyama_factor.cache_info().currsize
+    # The tables one verify run shares between its suites.
+    formulas.hl_pattern_quotient((2, 1, 0))
+    shared = (formulas._hl_quotient, oracle._schur_coefficients)
+    assert all(table.cache_info().currsize for table in shared)
     formulas.clear_caches()
     assert all(cache.cache_info().currsize == 0 for cache in caches)
 
@@ -467,6 +472,26 @@ def test_a_perturbed_engine_result_raises(route, monkeypatch):
     quotient, _ = QUOTIENT_ROUTES[route]
     with pytest.raises(formulas.QuotientError):
         quotient((2, 1, 0))
+
+
+def test_a_failed_proof_is_never_memoized(monkeypatch):
+    calls = count_memoized_work(monkeypatch)
+    row_sums = formulas._row_sums
+
+    def perturbed(*args):
+        packed, layout = row_sums(*args)
+        packed[min(packed)] += 1
+        return packed, layout
+
+    monkeypatch.setattr(formulas, "_row_sums", perturbed)
+    for _ in range(2):
+        with pytest.raises(formulas.QuotientError):
+            formulas.hl_pattern_quotient((2, 1, 0))
+    assert calls["closed_quotient"] == 2
+    monkeypatch.setattr(formulas, "_row_sums", row_sums)
+    for _ in range(2):
+        assert formulas.hl_pattern_quotient((2, 1, 0)) == oracle.hall_littlewood((2, 1, 0))
+    assert calls["closed_quotient"] == 3
 
 
 def test_a_quotient_holding_q_raises():

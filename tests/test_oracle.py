@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from hlgt import oracle
+from hlgt import formulas, oracle
 from hlgt.oracle import (
     OracleCapError,
     hall_littlewood,
@@ -236,6 +236,35 @@ def test_oracle_cap(monkeypatch):
         monomial_symmetric((1, 0, 0))
     monkeypatch.setenv("GT_ORACLE_NMAX", "3")
     assert hall_littlewood((1, 0, 0)).substitute("t", 0) == schur((1, 0, 0))
+
+
+def test_the_cap_is_read_on_every_call(monkeypatch):
+    lam = (1, 1, 0, 0)
+    routes = (hall_littlewood, schur, schur_coefficients, formulas.hl_row_quotient)
+    for route in routes:
+        route(lam)
+    monkeypatch.setenv("GT_ORACLE_NMAX", "3")
+    for route in routes:
+        with pytest.raises(OracleCapError, match=r"safety cap \(3\)"):
+            route(lam)
+
+
+@pytest.mark.parametrize("route", [hall_littlewood, schur, schur_coefficients,
+                                   formulas.hl_pattern_quotient], ids=lambda f: f.__name__)
+def test_bad_parts_are_refused_after_a_memoized_call(route):
+    route((1, 0))
+    # (1.0, 0) hashes and compares equal to the memoized key (1, 0).
+    for bad in [(1.0, 0), (1, -1)]:
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            route(bad)
+
+
+def test_schur_coefficients_are_a_fresh_dict_on_every_call():
+    _, _, t = generators(0)
+    first = schur_coefficients((2, 0))
+    first[(2, 0)] = t
+    del first[(1, 1)]
+    assert schur_coefficients((2, 0)) == {(2, 0): Polynomial.one(0), (1, 1): -t}
 
 
 def test_oracle_cap_rejects_garbage(monkeypatch):

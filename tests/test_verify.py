@@ -7,6 +7,8 @@ from hlgt import formulas
 from hlgt.polyring import Polynomial
 from hlgt.verify import SUITE_NAMES, CaseResult, check_case, grid, run_suite
 
+from helpers import count_memoized_work
+
 
 def test_grid_enumeration():
     lams = list(grid(2, 1))
@@ -113,3 +115,12 @@ def test_identities_and_verdicts_on_the_n4_grid_are_pinned():
     assert len(rows) == 681 and all(ok for *_, ok in rows)
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "504dbb1fc4ad0cff857c4865030d75e7d3911d12a58089eb55f84fa72457ae19"
+
+
+def test_one_run_shares_each_quotient_and_schur_expansion(monkeypatch):
+    # main, tokuyama, stanley and monomial all compare the closed quotient,
+    # and the oracle's HL, s_lam and raised HL overlap across the suites.
+    calls = count_memoized_work(monkeypatch)
+    report = run_suite("all", 4, 3)
+    assert report.total == 681 and report.failed == 0
+    assert calls == {"closed_quotient": 69, "schur_coefficients": 152}
