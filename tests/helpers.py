@@ -1,17 +1,17 @@
-"""Shared test utilities: independent determinant, pattern-sum, alternant and JSON oracles, tuple grids, memo spies."""
+"""Shared test utilities: independent determinant, pattern-sum, alternant and JSON oracles, tuple grids and a memo spy."""
 
 import json
 from itertools import combinations, permutations
 
 from hlgt import (
     Polynomial,
-    formulas,
-    oracle,
     constant,
     diagonal_weight,
     entry_labels,
     enumerate_patterns,
+    formulas,
     monomial,
+    oracle,
     parameter,
     permutation_sign,
     subdiagonal_weight,
