@@ -52,7 +52,6 @@ from .formulas import (
     stanley_sum,
     tokuyama_quotient,
     tokuyama_row_quotient,
-    tokuyama_row_recursion,
     tokuyama_sum,
     transition_det,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "subdiagonal_weight",
     "tokuyama_quotient",
     "tokuyama_row_quotient",
-    "tokuyama_row_recursion",
     "tokuyama_sum",
     "transition_det",
     "variable",

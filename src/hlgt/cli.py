@@ -274,6 +274,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (oracle.OracleCapError, formulas.PatternSizeError) as exc:
         return _usage_error(str(exc))
+    except formulas.QuotientError as exc:
+        # A pattern sum not proven to be its factors times the quotient.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader left: send the interpreter's final flush to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

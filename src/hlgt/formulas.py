@@ -34,10 +34,11 @@ transfer-matrix view of Tokuyama-type formulas).  The edge weights:
 (-q)^left * (1-q)^special; ``stanley_sum`` 2^special, with top row lam
 itself; ``stanley_filtered_sum`` the product of the lower row's diagonal
 weights at q = 0, t = -1, or 0 if the pair fails its row-local filter.
-``hl_row_recursion`` and ``tokuyama_row_recursion`` take one step of the
-same engine under the top row with the oracle's F(mu) = inner(mu - staircase),
-then multiply once by v_{n-1}(x;q) in x_2..x_n; they and their quotient
-routes obey the oracle's cap.
+``hl_row_quotient`` and ``tokuyama_row_quotient`` take one step of the
+same engine under the top row with the oracle's F(mu) = inner(mu - staircase)
+and return its proven quotient by prod_{j>1} (x_1 - q x_j);
+``hl_row_recursion`` multiplies that quotient by v_n(x;q).  All three
+obey the oracle's cap.
 
 The engine holds each F(row) as {x-exponents: packed int}: the q,t
 coefficient sum c q^a t^b of an x-monomial packs to
@@ -53,8 +54,8 @@ raises PatternSizeError before any product.
 
 The packed result has two exits.  ``unpack`` reads each value once as
 signed machine integers by a memoryview; a value beyond the proven
-q-degree raises ArithmeticError.  The pattern sums and recursions return
-it.  ``_Layout.quotient`` divides the packed result exactly by factors
+q-degree raises ArithmeticError.  The pattern sums return it.
+``_Layout.quotient`` divides the packed result exactly by factors
 x_i - q x_j before anything is unpacked: Horner's rule in x_i, as in
 ``Polynomial.divide_by_diff``, in which a factor q is a left shift by
 width * stride bits.  The ``*_quotient`` routes use it: the closed and
@@ -514,10 +515,9 @@ def tokuyama_quotient(lam: Sequence[int]) -> Polynomial:
     return _transfer(add_staircase(check_partition(lam)), _tokuyama_weight, divide=True)
 
 
-def _one_step(lam: Sequence[int], weight, inner, divide: bool = False) -> Polynomial:
-    # One row step under alpha = lam + staircase, with the oracle's
-    # F(mu) = inner(mu - staircase), times v_{n-1}(x;q) in x_2..x_n; with
-    # divide, its proven quotient by prod_{j>1} (x_1 - q x_j) instead.
+def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
+    # The proven quotient by prod_{j>1} (x_1 - q x_j) of one row step under
+    # alpha = lam + staircase, with the oracle's F(mu) = inner(mu - staircase).
     lam = check_partition(lam)
     n = len(lam)
     oracle._check_cap(n)
@@ -530,9 +530,7 @@ def _one_step(lam: Sequence[int], weight, inner, divide: bool = False) -> Polyno
         levels = [{alpha: edges}]
         base = {mu: inner(tuple(m - r for m, r in zip(mu, rho))) for mu, _ in edges}
     packed, layout = _row_sums(alpha, levels, base)
-    if divide:
-        return layout.quotient(n, packed, [(0, j) for j in range(1, n)])
-    return layout.unpack(n, packed) * oracle.weyl_denominator(n - 1, "q").shift_vars(0, n)
+    return layout.quotient(n, packed, [(0, j) for j in range(1, n)])
 
 
 def _det_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
@@ -540,44 +538,41 @@ def _det_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
     return _det_recurrence(_row_labels(alpha, mu))
 
 
-def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
-    """One-step recursion for v_n(x;q) * HL_lam(x;t).
+def hl_row_quotient(lam: Sequence[int]) -> Polynomial:
+    """HL_lam(x;t) from one row step, as its exact quotient by prod_{j>1} (x_1 - q x_j).
 
-    Sums over every next row mu under alpha = lam + staircase (strict or
-    not) the transition determinant times x_1^(|alpha| - |mu|) times the
-    variable-shifted product v_{n-1}(x;q) * HL_{mu - staircase}(x;t),
-    with the Hall-Littlewood factor taken from the brute-force oracle.
-    Non-strict mu feed exponent tuples with ascents straight into it.
+    The row step sums over every next row mu under alpha = lam + staircase
+    (strict or not) the transition determinant times x_1^(|alpha| - |mu|)
+    times HL_{mu - staircase}(x_2..x_n;t), taken from the brute-force
+    oracle.  Non-strict mu feed exponent tuples with ascents straight into
+    it.  Raises QuotientError as hl_pattern_quotient does.
     """
     return _one_step(lam, _det_weight, oracle.hall_littlewood)
 
 
-def hl_row_quotient(lam: Sequence[int]) -> Polynomial:
-    """HL_lam(x;t) as the exact quotient of hl_row_recursion's row step by prod_{j>1} (x_1 - q x_j).
+def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
+    """One-step recursion for v_n(x;q) * HL_lam(x;t): v_n(x;q) times hl_row_quotient(lam).
 
-    The row step is hl_row_recursion(lam) before its factor v_{n-1}(x;q)
-    in x_2..x_n; raises QuotientError as hl_pattern_quotient does.
+    The input checks, the cap and the quotient's proof all come before the product.
     """
-    return _one_step(lam, _det_weight, oracle.hall_littlewood, divide=True)
+    h = hl_row_quotient(lam)
+    return oracle.weyl_denominator(h.n_vars, "q") * h
 
 
 def _strict_tokuyama_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
     return _tokuyama_weight(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
 
 
-def tokuyama_row_recursion(lam: Sequence[int]) -> Polynomial:
-    """One-step recursion for v_n(x;q) * s_lam(x), over strict next rows only.
+def tokuyama_row_quotient(lam: Sequence[int]) -> Polynomial:
+    """s_lam(x) from one row step over strict next rows, as in hl_row_quotient.
 
-    A part of mu equal to the part of alpha above-left counts as
-    left-leaning, one equal to neither neighbour of alpha as special;
-    non-strict mu drop out because their Schur factor vanishes.
+    Each mu weighs (-q)^left * (1-q)^special, with the Schur factor
+    s_{mu - staircase}(x_2..x_n) from the oracle.  A part of mu equal to
+    the part of alpha above-left counts as left-leaning, one equal to
+    neither neighbour of alpha as special; non-strict mu drop out because
+    their Schur factor vanishes.
     """
     return _one_step(lam, _strict_tokuyama_weight, oracle.schur)
-
-
-def tokuyama_row_quotient(lam: Sequence[int]) -> Polynomial:
-    """s_lam(x) as the exact quotient of tokuyama_row_recursion's row step, as in hl_row_quotient."""
-    return _one_step(lam, _strict_tokuyama_weight, oracle.schur, divide=True)
 
 
 def _stanley_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:

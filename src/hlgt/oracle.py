@@ -126,11 +126,6 @@ def _signed_reps(terms: Mapping[Monomial, int], n: int) -> dict[Monomial, int]:
     return Polynomial._collect(n, pairs())._terms
 
 
-def _alternant(terms: Mapping[Monomial, int], n: int) -> Polynomial:
-    """sum over sigma in S_n of sign(sigma) * sigma(terms), via orbit representatives."""
-    return _orbit_sum(_signed_reps(terms, n), n, _signs(n))
-
-
 def _divide_vandermonde(p: Polynomial) -> Polynomial:
     # Factor order fixed (i, j) lexicographic; the quotient is order
     # independent but a fixed order keeps failures reproducible.

@@ -15,8 +15,8 @@ the same quotient at t = 0 and t = 1 with s_lam and the monomial
 symmetric polynomial: v_n(x;q) and v_n(x;-1) are nonzero in Z[x, q], so
 this holds exactly when the sum's specialization is v_n times them.  A
 sum those routes cannot prove to be such a product fails its identity.
-A one-row step is divided by prod_{j>1} (x_1 - q x_j) only, since its
-other factor v_{n-1}(x;q) is applied after the step.
+A one-row step is divided by prod_{j>1} (x_1 - q x_j) only, since the
+oracle polynomials it sums in x_2..x_n carry no factor v_{n-1}(x;q).
 
 The suites of one run share work through the memo tables of the routes
 they call: each partition's proven closed quotient and each oracle

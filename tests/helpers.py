@@ -20,6 +20,11 @@ from hlgt import (
 from hlgt.patterns import ALMOST_LEFT, LEFT, RIGHT
 
 
+def orbit_alternant(terms, n):
+    """sum over sigma in S_n of sign(sigma) * sigma(terms), through the oracle's orbit representatives."""
+    return oracle._orbit_sum(oracle._signed_reps(terms, n), n, oracle._signs(n))
+
+
 def literal_alternant(p):
     """sum over sigma in S_n of sign(sigma) * sigma(p), copy by copy."""
     n = p.n_vars

@@ -29,7 +29,7 @@ from hlgt.formulas import (
     raising_closure,
     stanley_filtered_sum,
     stanley_sum,
-    tokuyama_row_recursion,
+    tokuyama_row_quotient,
     tokuyama_sum,
     transition_det,
 )
@@ -89,7 +89,7 @@ def test_criterion_03_tokuyama_specialization():
         toku = tokuyama_sum(lam)
         assert toku == vq(len(lam)) * schur(lam), lam
         assert closed(lam).substitute("t", 0) == toku, lam
-        assert tokuyama_row_recursion(lam) == vq(len(lam)) * schur(lam), lam
+        assert tokuyama_row_quotient(lam) == schur(lam), lam
 
 
 def test_criterion_04_stanley():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hlgt import formulas
+from hlgt import formulas, oracle
 from hlgt.cli import main
 from hlgt.polyring import Polynomial
 
@@ -74,7 +74,13 @@ def test_compute_beyond_oracle_cap_is_a_usage_error(capsys):
 
 
 def test_compute_recursive_beyond_oracle_cap_fails_fast(capsys, monkeypatch):
-    # The recursion's oracle factor has n - 1 variables, but the cap applies to n.
+    # The recursion's oracle factor has n - 1 variables, but the cap applies to n,
+    # and it refuses before any row step or v_n(x;q) product.
+    def no_work(*args):
+        raise AssertionError("worked before the cap check")
+
+    monkeypatch.setattr(oracle, "weyl_denominator", no_work)
+    monkeypatch.setattr(formulas, "_row_sums", no_work)
     monkeypatch.setenv("GT_ORACLE_NMAX", "3")
     code, out, err = run(capsys, "compute", "--lambda", "1,1,1,1", "--mode", "recursive")
     assert code == 2
@@ -100,6 +106,23 @@ def test_compute_beyond_64_bit_fields_is_a_usage_error(capsys, monkeypatch, mode
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "66-bit fields" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_compute_recursive_unproven_quotient_is_a_verification_failure(capsys, monkeypatch):
+    # The row step, one q,t coefficient off by one: no proof, so no output.
+    row_sums = formulas._row_sums
+
+    def perturbed(*args):
+        packed, layout = row_sums(*args)
+        packed[min(packed)] += 1 << layout.width
+        return packed, layout
+
+    monkeypatch.setattr(formulas, "_row_sums", perturbed)
+    code, out, err = run(capsys, "compute", "--lambda", "2,1,0", "--mode", "recursive")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "does not divide" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -177,6 +200,11 @@ def test_patterns_json(capsys):
      "7d384a90c49e26f84354c41e73e93f545056e612cbd4be29ddf3bafb67fe4136"),
     (("compute", "--lambda", "2,2,1,0,0,0", "--mode", "oracle", "--format", "json"),
      "3ff553bc0d22cc706753acf22a02747d9de51da4b43d14c1fe3ea97eecff4eab"),
+    # v_n(x;q) times the proven one-row quotient (1 168 531 bytes at n = 5).
+    (("compute", "--lambda", "2,1,1,0", "--mode", "recursive", "--format", "json"),
+     "c553de7ea64f8450777dd08a417922befaaeb48be187b2415408b970912d2085"),
+    (("compute", "--lambda", "2,2,1,0,0", "--mode", "recursive", "--format", "json"),
+     "53dc342d4f9730834f5817045ed28344ae1ac2752ca8f37742a8f67fd2d8f501"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -21,7 +21,7 @@ from hlgt.formulas import (
     row_weight_sum,
     stanley_filtered_sum,
     stanley_sum,
-    tokuyama_row_recursion,
+    tokuyama_row_quotient,
     tokuyama_sum,
     transition_det,
 )
@@ -196,13 +196,11 @@ def test_tokuyama_sum_is_t_zero_specialization():
         assert hl_pattern_expansion(lam).substitute("t", 0) == tokuyama_sum(lam)
 
 
-def test_tokuyama_row_recursion():
-    xs, q, _ = generators(2)
-    assert tokuyama_row_recursion((0, 0)) == xs[0] - q * xs[1]
-    assert tokuyama_row_recursion((0,)) == Polynomial.one(1)
+def test_tokuyama_row_quotient():
+    assert tokuyama_row_quotient((0, 0)) == Polynomial.one(2)
+    assert tokuyama_row_quotient((0,)) == Polynomial.one(1)
     for lam in [(2, 1, 0), (1, 1, 0), (3, 0), (1, 1, 0, 0, 0), (2, 1, 0, 0, 0)]:
-        product = oracle.weyl_denominator(len(lam), "q") * oracle.schur(lam)
-        assert tokuyama_row_recursion(lam) == product
+        assert tokuyama_row_quotient(lam) == oracle.schur(lam)
 
 
 # ----------------------------------------------------------------------
