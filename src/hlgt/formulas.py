@@ -78,7 +78,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress
 from math import prod
-from operator import add
 from typing import Sequence
 
 from . import oracle
@@ -312,8 +311,11 @@ class _Layout:
           2**(width - 1).  An x-monomial of the product of the factors
           has L1 norm equal to its number of picks, one variable per
           factor, since each pick of x_j carries -q.  So 2**len(factors)
-          * max L1(H) bounds the product's norms, and when it does not
-          fit, their convolution with H's per-x-monomial norms does.
+          * max L1(H) bounds the product's norms.  When that does not
+          fit, H's per-x-monomial norms pass through the factors one at
+          a time, each norm moving up one in x_i and one in x_j; every
+          pick sequence counts once, so each result bounds that
+          x-monomial's norm in the product.
 
         Otherwise it raises QuotientError.
         """
@@ -329,41 +331,23 @@ class _Layout:
             h = replace(self, q_deg=0).unpack(n_vars, packed)
         except ArithmeticError:
             raise QuotientError("the quotient by the x_i - q x_j factors holds q") from None
-        l1: dict[tuple[int, ...], int] = {}
+        norms: dict[tuple[int, ...], int] = {}
         for mono, c in h._terms.items():
             xs = mono[:n_vars]
-            l1[xs] = l1.get(xs, 0) + abs(c)
+            norms[xs] = norms.get(xs, 0) + abs(c)
         limit = 1 << (self.width - 1)
-        if (max(l1.values(), default=0) << len(factors) >= limit
-                and _product_l1(_factor_counts(n_vars, tuple(factors)), l1) >= limit):
-            raise QuotientError(
-                f"the product of the quotient and its factors may overflow {self.width}-bit fields")
+        if max(norms.values(), default=0) << len(factors) >= limit:
+            for pair in factors:
+                step: dict[tuple[int, ...], int] = {}
+                for xs, c in norms.items():
+                    for k in pair:
+                        key = xs[:k] + (xs[k] + 1,) + xs[k + 1:]
+                        step[key] = step.get(key, 0) + c
+                norms = step
+            if max(norms.values()) >= limit:
+                raise QuotientError(
+                    f"the product of the quotient and its factors may overflow {self.width}-bit fields")
         return h
-
-
-@lru_cache(maxsize=None)
-def _factor_counts(n_vars: int, factors: tuple[tuple[int, int], ...]) -> dict[tuple[int, ...], int]:
-    # {x-exponents e: the number of ways to pick x_i or x_j from each
-    # factor (i, j) with product x^e}.
-    counts = {(0,) * n_vars: 1}
-    for pair in factors:
-        step: dict[tuple[int, ...], int] = {}
-        for e, c in counts.items():
-            for k in pair:
-                key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                step[key] = step.get(key, 0) + c
-        counts = step
-    return counts
-
-
-def _product_l1(counts: dict[tuple[int, ...], int], l1: dict[tuple[int, ...], int]) -> int:
-    # The largest coefficient of the product of the two x-polynomials.
-    sums: dict[tuple[int, ...], int] = {}
-    for f, a in counts.items():
-        for g, b in l1.items():
-            key = tuple(map(add, f, g))
-            sums[key] = sums.get(key, 0) + a * b
-    return max(sums.values(), default=0)
 
 
 def _bounds(poly: Polynomial) -> tuple[int, int, int]:
@@ -585,7 +569,7 @@ def stanley_sum(lam: Sequence[int]) -> Polynomial:
     Sums 2^special * x^weight over strict patterns with top row lam
     itself (no staircase shift).
     """
-    return _transfer(check_partition(lam, strict=True), _stanley_weight)
+    return _transfer(_check_upper_row(lam), _stanley_weight)
 
 
 def _admits_filtered(word: tuple[tuple[str, str], ...]) -> bool:
@@ -619,8 +603,8 @@ def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:
 def clear_caches() -> None:
     """Drop every memo table of the program, so the next call starts cold.
 
-    That is the determinants, closures, Tokuyama factors and factor
-    counts here, the proven quotients of ``hl_pattern_quotient``, and the
+    That is the determinants, closures and Tokuyama factors here, the
+    proven quotients of ``hl_pattern_quotient``, and the
     oracle's Weyl denominators, sign tables and Schur coefficients.
     Within one process these tables are shared by every call, so one
     ``hlgt verify`` run computes each entry once; ``hlgt bench`` clears
@@ -629,7 +613,6 @@ def clear_caches() -> None:
     raising_closure.cache_clear()
     _det_recurrence.cache_clear()
     _tokuyama_factor.cache_clear()
-    _factor_counts.cache_clear()
     _hl_quotient.cache_clear()
     oracle._weyl_denominator.cache_clear()
     oracle._signs.cache_clear()

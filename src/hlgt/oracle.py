@@ -82,6 +82,8 @@ def weyl_denominator(n: int, deform: str | None = None) -> Polynomial:
     """prod_{i<j} (x_i - p*x_j) with p = 1 (deform=None), q, or t."""
     if deform not in (None, "q", "t"):
         raise ValueError(f"deform must be None, 'q' or 't', got {deform!r}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     return _weyl_denominator(n, deform)
 
 

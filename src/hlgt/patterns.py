@@ -266,6 +266,8 @@ def entry_labels(upper: Sequence[int], lower: Sequence[int], i: int) -> EntryLab
         raise ValueError(
             f"lower row must be one part shorter than upper: {upper!r} / {lower!r}"
         )
+    if not interleaves(upper, lower):
+        raise ValueError(f"rows {upper!r} and {lower!r} violate the interleaving condition")
     if not 0 <= i < len(lower):
         raise ValueError(f"entry index {i} out of range for row {lower!r}")
     return EntryLabels(*_row_labels(upper, lower)[i])

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +144,19 @@ def test_pattern_row_weights_needs_strict():
 
 # ----------------------------------------------------------------------
 # pattern expansion and row recursion
+
+TOP_ROW_ROUTES = [
+    hl_pattern_expansion, formulas.hl_pattern_quotient, tokuyama_sum,
+    formulas.tokuyama_quotient, formulas.hl_row_quotient, hl_row_recursion,
+    tokuyama_row_quotient, stanley_sum, stanley_filtered_sum,
+]
+
+
+@pytest.mark.parametrize("route", TOP_ROW_ROUTES, ids=lambda route: route.__name__)
+def test_an_empty_top_row_raises_value_error(route):
+    with pytest.raises(ValueError):
+        route(())
+
 
 def test_hl_pattern_expansion_base_cases():
     assert hl_pattern_expansion((0,)) == Polynomial.one(1)
@@ -505,44 +520,44 @@ def test_more_factors_than_the_proven_q_degree_raise():
         layout.quotient(2, dividend, pairs(2))
 
 
-def count_convolutions(monkeypatch):
-    calls = []
-    product_l1 = formulas._product_l1
+@settings(max_examples=200)
+@given(st.data())
+def test_the_quotient_accepts_exactly_the_products_that_fit(data):
+    # H is q-free with coefficients within 8-bit fields, so the quotient
+    # decodes it; the product F * H fits the fields exactly when
+    # N * prod (x_i + x_j) does, N being H's per-x-monomial L1 norms.
+    n = data.draw(st.integers(2, 3))
+    mono = st.tuples(*[st.integers(0, 2)] * n, st.just(0), st.integers(0, 1))
+    h = Polynomial(n, data.draw(st.dictionaries(mono, st.integers(-127, 127), max_size=5)))
+    factors = data.draw(st.lists(st.sampled_from(pairs(n)), max_size=4))
+    xs, q, _ = generators(n)
+    norms = {}
+    for m, c in h._terms.items():
+        norms[m[:n] + (0, 0)] = norms.get(m[:n] + (0, 0), 0) + abs(c)
+    one = constant(1, n)
+    product_norms = Polynomial(n, norms) * prod((xs[i] + xs[j] for i, j in factors), start=one)
+    layout = formulas._Layout(8, len(factors), 1)
+    dividend = layout.pack(prod((xs[i] - q * xs[j] for i, j in factors), start=one) * h)
+    if max(product_norms._terms.values(), default=0) < 128:
+        assert layout.quotient(n, dividend, factors) == h
+    else:
+        with pytest.raises(formulas.QuotientError, match="overflow 8-bit fields"):
+            layout.quotient(n, dividend, factors)
 
-    def spy(*args):
-        calls.append(product_l1(*args))
-        return calls[-1]
 
-    monkeypatch.setattr(formulas, "_product_l1", spy)
-    return calls
-
-
-def test_a_failed_cheap_bound_falls_back_to_the_convolution(monkeypatch):
+def test_a_failed_cheap_bound_falls_back_to_the_convolution():
     # H = 127 (x1^2 + x2^2): 2 * max L1(H) = 254 does not fit 8-bit fields,
     # but (x1 - q x2) * H has L1 norm 127 at each of its x-monomials.
-    calls = count_convolutions(monkeypatch)
     h = monomial(127, (2, 0)) + monomial(127, (0, 2))
     layout = formulas._Layout(8, 1, 0)
     dividend = layout.pack(oracle.weyl_denominator(2, "q") * h)
     assert layout.quotient(2, dividend, [(0, 1)]) == h
-    assert calls == [127]
 
 
-def test_a_product_beyond_the_fields_raises(monkeypatch):
+def test_a_product_beyond_the_fields_raises():
     # H = 127 (x1 + x2): (x1 - q x2) * H has L1 norm 254 at x1 x2.
-    calls = count_convolutions(monkeypatch)
     h = monomial(127, (1, 0)) + monomial(127, (0, 1))
     layout = formulas._Layout(8, 1, 0)
     dividend = layout.pack(oracle.weyl_denominator(2, "q") * h)
     with pytest.raises(formulas.QuotientError, match="overflow 8-bit fields"):
         layout.quotient(2, dividend, [(0, 1)])
-    assert calls == [254]
-
-
-def test_factor_counts_are_the_l1_norms_of_the_product():
-    for n in range(1, 5):
-        v = oracle.weyl_denominator(n, "q")
-        norms = {}
-        for mono, c in v._terms.items():
-            norms[mono[:n]] = norms.get(mono[:n], 0) + abs(c)
-        assert formulas._factor_counts(n, tuple(pairs(n))) == norms

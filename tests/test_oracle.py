@@ -42,6 +42,15 @@ def test_weyl_denominator_rejects_unknown_deform():
         weyl_denominator(2, "u")
 
 
+def test_weyl_denominator_rejects_negative_n_before_the_memo():
+    entries = oracle._weyl_denominator.cache_info().currsize
+    for deform in (None, "q", "t"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            weyl_denominator(-1, deform)
+    assert oracle._weyl_denominator.cache_info().currsize == entries
+    assert weyl_denominator(0) == Polynomial.one(0)
+
+
 def test_schur_examples():
     xs, _, _ = generators(3)
     assert schur((1, 0, 0)) == xs[0] + xs[1] + xs[2]

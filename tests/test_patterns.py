@@ -201,6 +201,9 @@ def test_entry_labels_validation():
         entry_labels((3, 1), (2,), 1)
     with pytest.raises(ValueError, match="strictly"):
         entry_labels((3, 3), (3,), 0)
+    # (3, 1, 0) / (5, 0) reads (s, s), yet 5 lies above its parent 3.
+    with pytest.raises(ValueError, match="violate the interleaving condition"):
+        entry_labels((3, 1, 0), (5, 0), 0)
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +229,8 @@ def test_diagonal_weight_table(upper, lower, expected):
 def test_diagonal_weight_worked_rows():
     assert diagonal_weight((5, 3, 1), (4, 3), 0) == ONE - Q
     assert diagonal_weight((5, 3, 1), (4, 3), 1) == -Q
+    with pytest.raises(ValueError, match="violate the interleaving condition"):
+        diagonal_weight((3, 1, 0), (5, 0), 0)
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +263,8 @@ def test_subdiagonal_weight_bounds():
         subdiagonal_weight((3, 1), (2,), 1)
     with pytest.raises(ValueError):
         subdiagonal_weight((5, 3, 1), (4, 3), 2)
+    with pytest.raises(ValueError, match="violate the interleaving condition"):
+        subdiagonal_weight((3, 1, 0), (5, 0), 1)
 
 
 def test_left_and_right_never_coincide_under_strict_rows():
