@@ -154,15 +154,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.failed == 0 else 1
 
 
-def _timed(fn, repeats: int) -> tuple[float, Polynomial]:
-    best = None
-    value = None
+def _timed(route, lam: tuple[int, ...], repeats: int) -> tuple[float, Polynomial | None]:
+    # Best time of repeats calls of route(lam), each from caches cleared off the clock.
+    times = []
     for _ in range(repeats):
+        formulas.clear_caches()
         start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, value
+        value = route(lam)
+        times.append(time.perf_counter() - start)
+    return min(times), value
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -173,46 +173,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _usage_error("--max-part must be nonnegative")
     if args.repeats < 1:
         return _usage_error("--repeats must be at least 1")
-    rows: list[dict] = []
-    for n in args.n_list:
-        for lam in weakly_decreasing_tuples(n, args.part_max):
-            # Both routes give HL_lam from empty caches, so repeats measure
-            # real work; an unproven quotient is None and differs from HL.
-            def oracle_hl(lam=lam):
-                formulas.clear_caches()
-                return oracle.hall_littlewood(lam)
-
-            def closed(lam=lam):
-                formulas.clear_caches()
-                return verify._proven(formulas.hl_pattern_quotient, lam)
-
-            oracle_s, hl = _timed(oracle_hl, args.repeats)
-            closed_s, quotient = _timed(closed, args.repeats)
-            if quotient != hl:
-                print(f"error: closed and oracle routes differ for lambda={lam}",
-                      file=sys.stderr)
-                return 1
-            for mode, seconds in (("oracle", oracle_s), ("closed", closed_s)):
-                rows.append({"n": n, "lambda": lam, "mode": mode,
-                             "terms": len(hl), "seconds": seconds})
+    # Both routes give HL_lam; an unproven quotient is None and differs from
+    # HL.  Built per call, so that the current module attributes are timed.
+    routes = (("oracle", oracle.hall_littlewood),
+              ("closed", lambda lam: verify._proven(formulas.hl_pattern_quotient, lam)))
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["n", "lambda", "mode", "terms", "seconds"])
-    for row in rows:
-        writer.writerow([
-            row["n"],
-            "-".join(str(p) for p in row["lambda"]),
-            row["mode"],
-            row["terms"],
-            f"{row['seconds']:.9f}",
-        ])
     table = ["n    lambda        mode     terms  seconds"]
-    for row in rows:
-        lam_text = ",".join(str(p) for p in row["lambda"])
-        table.append(
-            f"{row['n']:<4d} {lam_text:<13s} {row['mode']:<8s} "
-            f"{row['terms']:<6d} {row['seconds']:.6f}"
-        )
+    for n in args.n_list:
+        for lam in weakly_decreasing_tuples(n, args.part_max):
+            timings = [(mode, *_timed(route, lam, args.repeats)) for mode, route in routes]
+            hl = timings[0][2]  # the oracle's HL_lam
+            if any(value != hl for _, _, value in timings):
+                print(f"error: closed and oracle routes differ for lambda={lam}",
+                      file=sys.stderr)
+                return 1
+            lam_text = ",".join(map(str, lam))
+            for mode, seconds, _ in timings:
+                writer.writerow([n, "-".join(map(str, lam)), mode, len(hl), f"{seconds:.9f}"])
+                table.append(f"{n:<4d} {lam_text:<13s} {mode:<8s} {len(hl):<6d} {seconds:.6f}")
     print("\n".join(table))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -282,6 +262,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # The reader left: send the interpreter's final flush to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # An --out path that cannot be written.
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -73,7 +73,6 @@ equal, so they are equal.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress
@@ -133,23 +132,20 @@ def _displacement(source: tuple[int, ...], image: tuple[int, ...]) -> int:
 def raising_closure(alpha: tuple[int, ...]) -> tuple[RaisingOperator, ...]:
     """Closure of alpha under raising consecutive pairs with gap exactly 2.
 
-    Breadth-first from the identity; images are deduplicated, and each
-    carries the number of elementary raises reaching it.  The identity
-    (length 0) always comes first.
+    Breadth-first from the identity, walking ``order`` while it grows;
+    images are deduplicated, and each carries the number of elementary
+    raises reaching it.  The identity (length 0) always comes first.
     """
     alpha = check_partition(alpha, strict=True)
     depth = {alpha: 0}
     order = [alpha]
-    queue = deque([alpha])
-    while queue:
-        cur = queue.popleft()
+    for cur in order:
         for i in range(len(cur) - 1):
             if cur[i] == cur[i + 1] + 2:
                 image = elementary_raise(cur, i)
                 if image not in depth:
                     depth[image] = depth[cur] + 1
                     order.append(image)
-                    queue.append(image)
     ops = []
     for image in order:
         length = _displacement(alpha, image)

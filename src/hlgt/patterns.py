@@ -22,7 +22,7 @@ and ``subdiagonal_weight`` of the evaluators' transition determinant.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polyring import Polynomial, constant, parameter
@@ -93,13 +93,10 @@ def add_staircase(lam: Sequence[int]) -> tuple[int, ...]:
 
 
 def weakly_decreasing_tuples(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """All weakly decreasing tuples of the given length with parts <= max_part."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(max_part, -1, -1):
-        for rest in weakly_decreasing_tuples(length - 1, first):
-            yield (first,) + rest
+    """All weakly decreasing tuples of the given length with parts <= max_part, lex-descending."""
+    if length < 0:
+        raise ValueError(f"length must be nonnegative, got {length}")
+    return combinations_with_replacement(range(max_part, -1, -1), length)
 
 
 # ----------------------------------------------------------------------
@@ -215,28 +212,19 @@ class GtPattern:
 def enumerate_patterns(top: Sequence[int], strict: bool = False) -> list[GtPattern]:
     """All GT patterns with the given top row, in lex-descending order.
 
-    With ``strict=True`` only patterns whose rows are all strictly
-    decreasing are produced, and the top row itself must be strict.
+    Grown one row per level: each partial pattern, in order, is extended by
+    the rows that may sit below its last, lex-descending.  With
+    ``strict=True`` only patterns whose rows are all strictly decreasing
+    are produced, and the top row itself must be strict.
     """
     top = check_partition(top, strict=strict)
     if len(top) == 0:
         raise ValueError("top row must have at least one part")
-    results: list[GtPattern] = []
-
-    def extend(rows: list[tuple[int, ...]]) -> None:
-        last = rows[-1]
-        if len(last) == 1:
-            results.append(GtPattern._raw(tuple(rows)))
-            return
-        for nxt in _interleavings(last):
-            if strict and not is_strictly_decreasing(nxt):
-                continue
-            rows.append(nxt)
-            extend(rows)
-            rows.pop()
-
-    extend([top])
-    return results
+    rows = [(top,)]
+    for _ in range(len(top) - 1):
+        rows = [p + (mu,) for p in rows for mu in _interleavings(p[-1])
+                if not strict or is_strictly_decreasing(mu)]
+    return [GtPattern._raw(p) for p in rows]
 
 
 # ----------------------------------------------------------------------

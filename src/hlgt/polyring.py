@@ -84,11 +84,11 @@ class Polynomial:
 
     @classmethod
     def zero(cls, n_vars: int) -> "Polynomial":
-        return cls._raw(n_vars, {})
+        return cls(n_vars)
 
     @classmethod
     def one(cls, n_vars: int) -> "Polynomial":
-        return cls._raw(n_vars, {(0,) * (n_vars + 2): 1})
+        return constant(1, n_vars)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -108,9 +108,6 @@ class Polynomial:
         """Terms in canonical order: graded-lex descending on (x.., q, t)."""
         monos = self._canonical()
         return list(zip(monos, map(self._terms.__getitem__, monos)))
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(tuple(mono), 0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -388,6 +385,8 @@ def synthetic_division(terms: Mapping[Monomial, int], i: int, j: int,
 def constant(value: int, n_vars: int) -> Polynomial:
     if not isinstance(value, int):
         raise TypeError("constant coefficient must be int")
+    if n_vars < 0:
+        raise ValueError("n_vars must be nonnegative")
     if value == 0:
         return Polynomial.zero(n_vars)
     return Polynomial._raw(n_vars, {(0,) * (n_vars + 2): value})
@@ -409,7 +408,7 @@ def parameter(name: str, n_vars: int) -> Polynomial:
         mono = (0,) * n_vars + (0, 1)
     else:
         raise ValueError(f"parameter must be 'q' or 't', got {name!r}")
-    return Polynomial._raw(n_vars, {mono: 1})
+    return Polynomial(n_vars, {mono: 1})
 
 
 def monomial(coeff: int, x_exps: Sequence[int], q_exp: int = 0, t_exp: int = 0) -> Polynomial:

@@ -311,6 +311,13 @@ def test_bench_writes_csv(tmp_path, capsys):
         by_lam.setdefault((row["n"], row["lambda"]), {})[row["mode"]] = row["terms"]
     for modes in by_lam.values():
         assert modes["oracle"] == modes["closed"]
+    # Every column but seconds, in the order the rows are written.
+    assert "; ".join(",".join(list(row.values())[:4]) for row in rows) == (
+        "2,1-1,oracle,2; 2,1-1,closed,2; 2,1-0,oracle,2; 2,1-0,closed,2; "
+        "2,0-0,oracle,2; 2,0-0,closed,2; 3,1-1-1,oracle,4; 3,1-1-1,closed,4; "
+        "3,1-1-0,oracle,6; 3,1-1-0,closed,6; 3,1-0-0,oracle,6; 3,1-0-0,closed,6; "
+        "3,0-0-0,oracle,4; 3,0-0-0,closed,4"
+    )
 
 
 def test_bench_rejects_bad_sizes(capsys):
@@ -387,6 +394,17 @@ def test_bench_size_below_one_is_its_own_usage_error(capsys):
     code, _, err = run(capsys, "bench", "--n", "-1", "--repeats", "1")
     assert code == 2
     assert "--n sizes must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--lambda", "1", "--mode", "oracle"),
+    ("bench", "--n", "2", "--max-part", "0", "--repeats", "1"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from hlgt.polyring import Polynomial, constant, parameter
@@ -68,6 +70,19 @@ def test_weakly_decreasing_tuples():
     got = list(weakly_decreasing_tuples(2, 2))
     assert got == [(2, 2), (2, 1), (2, 0), (1, 1), (1, 0), (0, 0)]
     assert list(weakly_decreasing_tuples(1, 0)) == [(0,)]
+
+
+@pytest.mark.parametrize("length", range(7))
+@pytest.mark.parametrize("max_part", range(5))
+def test_weakly_decreasing_tuples_are_lex_descending(length, max_part):
+    every = product(range(max_part + 1), repeat=length)
+    want = sorted((t for t in every if is_weakly_decreasing(t)), reverse=True)
+    assert list(weakly_decreasing_tuples(length, max_part)) == want
+
+
+def test_weakly_decreasing_tuples_reject_a_negative_length():
+    with pytest.raises(ValueError, match="length must be nonnegative"):
+        weakly_decreasing_tuples(-1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +161,16 @@ def test_enumerated_patterns_pass_the_checked_constructor():
             found = enumerate_patterns(top)
             assert found == [GtPattern(p.rows) for p in found]
             assert all(type(row) is tuple for p in found for row in p.rows)
+
+
+@pytest.mark.parametrize("top, strict", [
+    ((3, 1, 0), False), ((3, 1, 0), True), ((4, 2, 1, 0), True),
+    ((3, 3, 1, 1), False), ((5, 3, 2, 0), True),
+])
+def test_enumerate_patterns_are_strictly_lex_descending(top, strict):
+    rows = [p.rows for p in enumerate_patterns(top, strict=strict)]
+    assert len(rows) > 1
+    assert all(a > b for a, b in zip(rows, rows[1:]))
 
 
 def test_enumerate_patterns_strict_needs_strict_top():

@@ -11,6 +11,7 @@ from hlgt.polyring import (
     constant,
     generators,
     monomial,
+    parameter,
     permutation_sign,
     variable,
 )
@@ -141,6 +142,18 @@ def test_invalid_construction():
         Polynomial(1, {(-1, 0, 0): 1})
     with pytest.raises(TypeError):
         Polynomial(1, {(1, 0, 0): 1.5})
+
+
+@pytest.mark.parametrize("build", [
+    Polynomial.zero,
+    Polynomial.one,
+    lambda n: constant(3, n),
+    lambda n: parameter("q", n),
+    generators,
+], ids=["zero", "one", "constant", "parameter", "generators"])
+def test_constructors_reject_negative_n_vars(build):
+    with pytest.raises(ValueError, match="n_vars must be nonnegative"):
+        build(-1)
 
 
 # ----------------------------------------------------------------------
