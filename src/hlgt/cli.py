@@ -17,12 +17,7 @@ from math import prod
 from typing import Sequence
 
 from . import formulas, oracle, verify
-from .patterns import (
-    enumerate_patterns,
-    is_strictly_decreasing,
-    is_weakly_decreasing,
-    weakly_decreasing_tuples,
-)
+from .patterns import check_partition, enumerate_patterns, weakly_decreasing_tuples
 from .polyring import Polynomial
 
 MODES = ("oracle", "closed", "recursive", "tokuyama", "stanley")
@@ -59,16 +54,8 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    lam = args.lam
-    if args.mode == "stanley":
-        if not is_strictly_decreasing(lam):
-            return _usage_error(
-                f"mode 'stanley' requires a strictly decreasing partition, got {lam}"
-            )
-    elif not is_weakly_decreasing(lam):
-        return _usage_error(
-            f"mode {args.mode!r} requires a weakly decreasing partition, got {lam}"
-        )
+    # The oracle takes exponent tuples with ascents, so the partition is checked here.
+    lam = check_partition(args.lam, strict=args.mode == "stanley")
     evaluator = {
         "oracle": oracle.hall_littlewood,
         "closed": formulas.hl_pattern_expansion,
@@ -104,20 +91,14 @@ def _pattern_record(pattern, with_stats: bool) -> dict:
 
 
 def cmd_patterns(args: argparse.Namespace) -> int:
-    top = args.top
     if args.stats and not args.strict:
         return _usage_error("--stats requires --strict (row weights need strict rows)")
-    if args.strict:
-        if not is_strictly_decreasing(top):
-            return _usage_error(f"--strict requires a strictly decreasing top row, got {top}")
-    elif not is_weakly_decreasing(top):
-        return _usage_error(f"top row must be weakly decreasing, got {top}")
-    found = enumerate_patterns(top, strict=args.strict)
+    found = enumerate_patterns(args.top, strict=args.strict)
     if args.format == "json":
         records = [_pattern_record(p, args.stats) for p in found]
         _emit(json.dumps(records), args.out)
         return 0
-    lines: list[str] = [f"{len(found)} pattern(s) with top row {top}"]
+    lines: list[str] = [f"{len(found)} pattern(s) with top row {args.top}"]
     for idx, pattern in enumerate(found, start=1):
         left, right, special = pattern.leaning_counts()
         lines.append(f"pattern {idx}:")
@@ -135,7 +116,6 @@ def cmd_patterns(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         return _usage_error("--n must be at least 1")
-    oracle._check_cap(args.n_max)
     if args.part_max < 0:
         return _usage_error("--max-part must be nonnegative")
     report = verify.run_suite(args.suite, args.n_max, args.part_max)
@@ -252,7 +232,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (oracle.OracleCapError, formulas.PatternSizeError) as exc:
+    except ValueError as exc:
+        # The library raises ValueError only for an argument it refuses.
         return _usage_error(str(exc))
     except formulas.QuotientError as exc:
         # A pattern sum not proven to be its factors times the quotient.

@@ -115,10 +115,10 @@ class RaisingOperator:
 
 
 def elementary_raise(parts: Sequence[int], i: int) -> tuple[int, ...]:
-    """Move one unit from part i to part i+1 (0-based)."""
+    """Move one unit from part i to part i+1 (0-based); part i must be positive."""
     parts = tuple(parts)
-    if not 0 <= i < len(parts) - 1:
-        raise ValueError(f"raise index {i} out of range for {parts!r}")
+    if not (0 <= i < len(parts) - 1 and parts[i] > 0):
+        raise ValueError(f"cannot move a unit from part {i} to part {i + 1} of {parts!r}")
     return parts[:i] + (parts[i] - 1, parts[i + 1] + 1) + parts[i + 2:]
 
 

@@ -54,6 +54,16 @@ def test_compute_rejects_non_monotone(capsys):
     assert "weakly decreasing" in err
 
 
+@pytest.mark.parametrize("mode", ["oracle", "closed", "recursive", "tokuyama", "stanley"])
+def test_compute_rejects_an_ascent_in_every_mode(capsys, mode):
+    code, out, err = run(capsys, "compute", "--lambda", "1,2", "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    kind = "strictly" if mode == "stanley" else "weakly"
+    assert f"{kind} decreasing" in err
+
+
 def test_compute_stanley_needs_strict(capsys):
     code, _, err = run(capsys, "compute", "--lambda", "1,1", "--mode", "stanley")
     assert code == 2
@@ -205,6 +215,11 @@ def test_patterns_json(capsys):
      "c553de7ea64f8450777dd08a417922befaaeb48be187b2415408b970912d2085"),
     (("compute", "--lambda", "2,2,1,0,0", "--mode", "recursive", "--format", "json"),
      "53dc342d4f9730834f5817045ed28344ae1ac2752ca8f37742a8f67fd2d8f501"),
+    # Stanley's sum (3 225 bytes) and the closed sum as text (1 032 bytes).
+    (("compute", "--lambda", "4,2,1,0", "--mode", "stanley", "--format", "json"),
+     "ca7846a121658843cd2400d05121ece75712c10dd2b63e6684affa3c5b3c43dd"),
+    (("compute", "--lambda", "2,1,0", "--mode", "closed"),
+     "6b5d1779830bcbb5e128e243a8842ece534c0cfd59ea925613faa2269685a509"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -52,6 +52,11 @@ def test_elementary_raise():
     assert elementary_raise((6, 4, 3, 1), 2) == (6, 4, 2, 2)
     with pytest.raises(ValueError):
         elementary_raise((6, 4), 1)
+    # A raise never makes a part negative.
+    for parts, i in [((0, 0), 0), ((1, 0, 0), 1), ((2, 0, 1), 1)]:
+        with pytest.raises(ValueError, match="cannot move a unit"):
+            elementary_raise(parts, i)
+    assert elementary_raise((1, 0), 0) == (0, 1)
 
 
 def test_elementary_raises_compose():

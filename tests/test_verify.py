@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hlgt import formulas
+from hlgt import formulas, oracle
 from hlgt.polyring import Polynomial
 from hlgt.verify import SUITE_NAMES, CaseResult, check_case, grid, run_suite
 
@@ -103,6 +103,29 @@ def test_an_unproven_quotient_fails_the_closed_identity(suite, monkeypatch):
     results = check_case(suite, (2, 1, 0))
     failing = [c.identity for c in results if not c.ok]
     assert len(failing) == 1 and failing[0].startswith("closed@")
+
+
+def _refuse_pattern_sums(monkeypatch):
+    # The oracle refuses n = 4, and any pattern sum or row step fails the test.
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a pattern sum started before the oracle's cap")
+
+    monkeypatch.setattr(formulas, "_transfer", no_sum)
+    monkeypatch.setattr(formulas, "_row_sums", no_sum)
+    monkeypatch.setenv("GT_ORACLE_NMAX", "3")
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES[:-1])
+def test_an_over_cap_case_is_refused_before_any_pattern_sum(suite, monkeypatch):
+    _refuse_pattern_sums(monkeypatch)
+    with pytest.raises(oracle.OracleCapError, match="safety cap"):
+        check_case(suite, (2, 1, 0, 0))
+
+
+def test_an_over_cap_grid_is_refused_before_any_case(monkeypatch):
+    _refuse_pattern_sums(monkeypatch)
+    with pytest.raises(oracle.OracleCapError, match="safety cap"):
+        run_suite("all", 4, 1)
 
 
 def test_identities_and_verdicts_on_the_n4_grid_are_pinned():
