@@ -15,19 +15,6 @@ print("(x1 - t*x2)(x1 - x2) =", p)
 print("plus its negative    =", p + (-p))
 
 print()
-print("== the symmetric group acts by permuting variables ==")
-f = x1 ** 2 * x2 - q * x3
-print("f          =", f)
-print("swap x1,x2 =", f.permuted((1, 0, 2)))
-print("cycle      =", f.permuted((1, 2, 0)))
-
-print()
-print("== variable shifts widen the ring ==")
-g = x1 * x2 ** 2
-print("g in 3 vars        =", g)
-print("shifted into slot 2+ =", g.shift_vars(0, 4), "(now 4 variables)")
-
-print()
 print("== exact division by a variable difference ==")
 h = x1 ** 3 - x3 ** 3
 print("x1^3 - x3^3          =", h)

@@ -9,12 +9,12 @@ from hlgt import (
     diagonal_weight,
     entry_labels,
     enumerate_patterns,
-    next_rows,
     subdiagonal_weight,
 )
 
 print("== rows that fit under (3, 1, 0) ==")
-for mu in next_rows((3, 1, 0)):
+# the second rows of all patterns under (3, 1, 0), each once, in pattern order
+for mu in dict.fromkeys(p.rows[1] for p in enumerate_patterns((3, 1, 0))):
     print(" ", mu)
 
 print()

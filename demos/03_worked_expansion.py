@@ -7,6 +7,7 @@ product.
 """
 
 from hlgt import (
+    Polynomial,
     enumerate_patterns,
     hall_littlewood,
     hl_pattern_expansion,
@@ -41,4 +42,5 @@ print()
 expansion = hl_pattern_expansion(lam)
 product = weyl_denominator(3, "q") * hall_littlewood(lam)
 print(f"{total_terms} patterns, expansion equals oracle product: {expansion == product}")
-print("coefficient of x1^2 x2 x3:", product.coefficient_of((2, 1, 1)))
+x_coeff = {mono[3:]: c for mono, c in product.terms() if mono[:3] == (2, 1, 1)}
+print("coefficient of x1^2 x2 x3:", Polynomial(0, x_coeff))

@@ -33,7 +33,6 @@ from .patterns import (
     interleaves,
     is_strictly_decreasing,
     is_weakly_decreasing,
-    next_rows,
     staircase,
     subdiagonal_weight,
     weakly_decreasing_tuples,
@@ -94,7 +93,6 @@ __all__ = [
     "max_oracle_vars",
     "monomial",
     "monomial_symmetric",
-    "next_rows",
     "parameter",
     "pattern_row_weights",
     "permutation_sign",

@@ -109,16 +109,6 @@ def _interleavings(row: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(mu) for mu in product(*ranges)]
 
 
-def next_rows(alpha: Sequence[int]) -> list[tuple[int, ...]]:
-    """All rows that may sit directly below a strictly decreasing row alpha.
-
-    Each result is one part shorter and interleaves with alpha; for a
-    single-part alpha the only next row is the empty tuple.  Results are in
-    lex-descending order.
-    """
-    return _interleavings(_check_upper_row(alpha))
-
-
 def _check_upper_row(alpha: Sequence[int]) -> tuple[int, ...]:
     # A strictly decreasing row with at least one part, as a tuple.
     alpha = check_partition(alpha, strict=True)

@@ -180,54 +180,7 @@ class Polynomial:
         return result
 
     # ------------------------------------------------------------------
-    # variable manipulation
-
-    def permuted(self, sigma: Sequence[int]) -> "Polynomial":
-        """Apply the variable permutation x_i -> x_{sigma[i]} (0-based images).
-
-        ``sigma`` must be a bijection on range(n_vars); q and t exponents
-        are untouched.
-        """
-        n = self.n_vars
-        sigma = tuple(sigma)
-        if sorted(sigma) != list(range(n)):
-            raise ValueError("sigma is not a bijection on the variable indices")
-        return self._reindex(n, sigma)
-
-    def shift_vars(self, i: int, new_n: int) -> "Polynomial":
-        """Reindex x_k to x_{k+1} for every k >= i, widening to new_n variables.
-
-        Slot ``i`` of the result is unused (exponent 0 everywhere), as are
-        any slots past ``n_vars + 1``.  Requires ``0 <= i <= n_vars`` and
-        ``new_n >= n_vars + 1``.
-        """
-        n = self.n_vars
-        if not 0 <= i <= n:
-            raise ValueError(f"shift index {i} out of range for {n} variables")
-        if new_n < n + 1:
-            raise ValueError(f"new_n must be at least {n + 1}, got {new_n}")
-        return self._reindex(new_n, [k if k < i else k + 1 for k in range(n)])
-
-    def with_vars(self, new_n: int) -> "Polynomial":
-        """Embed into a ring with new_n >= n_vars variables; new slots unused."""
-        n = self.n_vars
-        if new_n < n:
-            raise ValueError(f"cannot shrink from {n} to {new_n} variables")
-        if new_n == n:
-            return self
-        return self._reindex(new_n, range(n))
-
-    def _reindex(self, new_n: int, positions: Sequence[int]) -> "Polynomial":
-        # Move the exponent of x_k to slot positions[k] of a ring with new_n
-        # variables; positions is injective, so no two terms merge.
-        n = self.n_vars
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            xs = [0] * new_n
-            for k, slot in enumerate(positions):
-                xs[slot] = mono[k]
-            out[tuple(xs) + mono[n:]] = coeff
-        return Polynomial._raw(new_n, out)
+    # division and specialization
 
     def divide_by_diff(self, i: int, j: int) -> "Polynomial":
         """Exact quotient by (x_i - x_j), via synthetic division in x_i at x_i = x_j.
@@ -257,20 +210,6 @@ class Polynomial:
         return Polynomial._collect(self.n_vars, (
             (mono[:slot] + (0,) + mono[slot + 1:], coeff * value ** mono[slot])
             for mono, coeff in self._terms.items()))
-
-    def coefficient_of(self, x_exps: Sequence[int]) -> "Polynomial":
-        """The polynomial in q, t only multiplying the given x-monomial."""
-        n = self.n_vars
-        target = tuple(x_exps)
-        if len(target) != n:
-            raise ValueError(f"expected {n} x-exponents, got {len(target)}")
-        zeros = (0,) * n
-        out = {
-            zeros + mono[n:]: coeff
-            for mono, coeff in self._terms.items()
-            if mono[:n] == target
-        }
-        return Polynomial._raw(n, out)
 
     # ------------------------------------------------------------------
     # rendering and serialization

@@ -1,4 +1,4 @@
-"""Shared test utilities: independent determinant, pattern-sum, alternant and JSON oracles, tuple grids and a memo spy."""
+"""Shared test utilities: independent determinant, pattern-sum, alternant and JSON oracles, variable permutations, tuple grids and a memo spy."""
 
 import json
 from itertools import combinations, permutations
@@ -20,6 +20,31 @@ from hlgt import (
 from hlgt.patterns import ALMOST_LEFT, LEFT, RIGHT
 
 
+def permuted(p, sigma):
+    """p under the variable permutation x_i -> x_{sigma[i]} (0-based images).
+
+    ``sigma`` must be a bijection on range(p.n_vars); q and t exponents are
+    untouched.
+    """
+    n = p.n_vars
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError("sigma is not a bijection on the variable indices")
+    out = {}
+    for mono, coeff in p.terms():
+        xs = [0] * n
+        for k, slot in enumerate(sigma):
+            xs[slot] = mono[k]
+        out[tuple(xs) + mono[n:]] = coeff
+    return Polynomial(n, out)
+
+
+def x_coefficient(p, x_exps):
+    """The q,t polynomial (n_vars = 0) multiplying the x-monomial x^x_exps in p."""
+    n = p.n_vars
+    return Polynomial(0, {mono[n:]: c for mono, c in p.terms() if mono[:n] == tuple(x_exps)})
+
+
 def orbit_alternant(terms, n):
     """sum over sigma in S_n of sign(sigma) * sigma(terms), through the oracle's orbit representatives."""
     return oracle._orbit_sum(oracle._signed_reps(terms, n), n, oracle._signs(n))
@@ -30,7 +55,7 @@ def literal_alternant(p):
     n = p.n_vars
     total = Polynomial.zero(n)
     for sigma in permutations(range(n)):
-        image = p.permuted(sigma)
+        image = permuted(p, sigma)
         total = total + (image if permutation_sign(sigma) == 1 else -image)
     return total
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hlgt import formulas, oracle, patterns
 from hlgt.polyring import Polynomial, constant, generators, monomial, parameter
 from hlgt.patterns import (
+    _interleavings,
     GtPattern,
     add_staircase,
     enumerate_patterns,
-    next_rows,
     staircase,
     weakly_decreasing_tuples,
 )
@@ -121,7 +121,7 @@ def test_transition_det_requires_strict():
 def test_transition_det_matches_laplace_expansion():
     for length in range(2, 5):
         for alpha in strict_tuples(length, 5):
-            for mu in next_rows(alpha):
+            for mu in _interleavings(alpha):
                 expected = laplace_det(tridiagonal_matrix(alpha, mu))
                 assert transition_det(alpha, mu) == expected
 
@@ -199,7 +199,7 @@ def test_hl_row_recursion_matches_oracle():
 def test_row_recursion_visits_non_strict_rows():
     # (2, 1, 0) has the non-strict next row (1, 1), whose shifted parts (1, 1)
     # minus the staircase give the ascending tuple (0, 1)
-    assert (1, 1) in next_rows((2, 1, 0))
+    assert (1, 1) in _interleavings((2, 1, 0))
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hlgt.oracle import (
 from hlgt.polyring import Polynomial, generators, monomial
 from hlgt.patterns import enumerate_patterns, staircase, weakly_decreasing_tuples
 
-from helpers import coeff_sum, literal_alternant, literal_numerator, orbit_alternant
+from helpers import coeff_sum, literal_alternant, literal_numerator, orbit_alternant, permuted
 
 
 def test_weyl_denominator_two_vars():
@@ -102,7 +102,7 @@ def test_hall_littlewood_is_symmetric():
     for lam in [(2, 0), (2, 1, 0), (1, 1, 0), (2, 2, 1)]:
         p = hall_littlewood(lam)
         for sigma in permutations(range(len(lam))):
-            assert p.permuted(sigma) == p
+            assert permuted(p, sigma) == p
 
 
 def test_specializations_on_a_grid():
@@ -127,7 +127,7 @@ def test_antisymmetrized_numerator_flips_sign_under_transpositions():
     for i in range(n - 1):
         swap = list(range(n))
         swap[i], swap[i + 1] = swap[i + 1], swap[i]
-        assert num.permuted(swap) == -num
+        assert permuted(num, swap) == -num
 
 
 def test_alternant_of_cancelling_representatives_is_zero():
@@ -215,7 +215,8 @@ def test_hall_littlewood_is_its_schur_expansion(kappa):
     n = len(kappa)
     expansion = Polynomial.zero(n)
     for mu, coeff in schur_coefficients(kappa).items():
-        expansion = expansion + coeff.with_vars(n) * schur(mu)
+        lifted = Polynomial(n, {(0,) * n + mono: c for mono, c in coeff.terms()})
+        expansion = expansion + lifted * schur(mu)
     assert hall_littlewood(kappa) == expansion
 
 

@@ -11,6 +11,7 @@ from hlgt.patterns import (
     SPECIAL,
     GtPattern,
     _diagonal_weight,
+    _interleavings,
     _row_labels,
     add_staircase,
     check_partition,
@@ -20,7 +21,6 @@ from hlgt.patterns import (
     interleaves,
     is_strictly_decreasing,
     is_weakly_decreasing,
-    next_rows,
     staircase,
     subdiagonal_weight,
     weakly_decreasing_tuples,
@@ -89,21 +89,16 @@ def test_weakly_decreasing_tuples_reject_a_negative_length():
 # next rows
 
 def test_next_rows_two_parts():
-    assert next_rows((1, 0)) == [(1,), (0,)]
+    assert _interleavings((1, 0)) == [(1,), (0,)]
 
 
 def test_next_rows_three_parts():
-    got = next_rows((3, 1, 0))
+    got = _interleavings((3, 1, 0))
     assert got == [(3, 1), (3, 0), (2, 1), (2, 0), (1, 1), (1, 0)]
 
 
 def test_next_rows_single_part():
-    assert next_rows((5,)) == [()]
-
-
-def test_next_rows_requires_strict():
-    with pytest.raises(ValueError):
-        next_rows((2, 2))
+    assert _interleavings((5,)) == [()]
 
 
 def test_next_rows_count_formula():
@@ -112,7 +107,7 @@ def test_next_rows_count_formula():
             expected = 1
             for a, b in zip(alpha, alpha[1:]):
                 expected *= a - b + 1
-            assert len(next_rows(alpha)) == expected
+            assert len(_interleavings(alpha)) == expected
 
 
 def test_interleaves():

@@ -128,6 +128,16 @@ def test_an_over_cap_grid_is_refused_before_any_case(monkeypatch):
         run_suite("all", 4, 1)
 
 
+@pytest.mark.parametrize(("n_max", "part_max", "message"), [
+    (0, 2, "--n must be at least 1"),
+    (2, -1, "--max-part must be nonnegative"),
+    (-3, 1, "--n must be at least 1"),
+], ids=["no-length", "no-part", "negative-length"])
+def test_an_empty_grid_is_refused(n_max, part_max, message):
+    with pytest.raises(ValueError, match=message):
+        run_suite("all", n_max, part_max)
+
+
 def test_identities_and_verdicts_on_the_n4_grid_are_pinned():
     # (suite, lambda, identity, ok) for every suite on grid(4, 3), as the
     # oracle-product comparison gave them before the quotient routes.
