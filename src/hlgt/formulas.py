@@ -23,13 +23,14 @@ elementary raise adds exactly one to it, so word order never matters.
 
 Each sum over strict GT patterns here weights a pattern by a product
 over its consecutive row pairs, so all four run on one row-transfer
-engine: with F((a,)) = x_n^a and k = n - len(row) + 1,
+engine: with F(()) = 1 and k = n - len(row) + 1,
 
     F(row) = sum over strict next rows mu of
              edge_weight(row, mu) * x_k^(|row| - |mu|) * F(mu),
 
 memoized per distinct row, which folds the pattern tree into a DAG (the
-transfer-matrix view of Tokuyama-type formulas).  The edge weights:
+transfer-matrix view of Tokuyama-type formulas); each edge carries its
+drop |row| - |mu| from where it is made.  The edge weights:
 ``hl_pattern_expansion`` uses ``row_weight_sum``; ``tokuyama_sum``
 (-q)^left * (1-q)^special; ``stanley_sum`` 2^special, with top row lam
 itself; ``stanley_filtered_sum`` the product of the lower row's diagonal
@@ -171,6 +172,11 @@ def _det_recurrence(word: tuple[tuple[str, str], ...]) -> Polynomial:
     return det
 
 
+def _det_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
+    # The determinant of a next row mu already known to interleave with alpha.
+    return _det_recurrence(_row_labels(alpha, mu))
+
+
 def transition_det(alpha: Sequence[int], mu: Sequence[int]) -> Polynomial:
     """Tridiagonal determinant weighting candidate next row mu under alpha.
 
@@ -183,12 +189,12 @@ def transition_det(alpha: Sequence[int], mu: Sequence[int]) -> Polynomial:
     mu = tuple(mu)
     if not interleaves(alpha, mu):
         return Polynomial.zero(0)
-    return _det_recurrence(_row_labels(alpha, mu))
+    return _det_weight(alpha, mu)
 
 
 def row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
     """Sum of t^length * transition_det(upper, image) over the closure of lower."""
-    return _row_weight_sum(_check_upper_row(upper), lower)
+    return _row_weight_sum(_check_upper_row(upper), tuple(lower))
 
 
 def _row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
@@ -196,7 +202,7 @@ def _row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomia
     return Polynomial._collect(0, (
         ((q, t + op.length), c)
         for op in raising_closure(lower) if interleaves(upper, op.result)
-        for (q, t), c in _det_recurrence(_row_labels(upper, op.result))._terms.items()))
+        for (q, t), c in _det_weight(upper, op.result)._terms.items()))
 
 
 def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
@@ -362,22 +368,19 @@ def _top_bounds(top: tuple[int, ...], levels: list[dict], base: dict) -> tuple[i
     """The (q-degree, t-degree, L1) bounds of F(top) over the rows of _row_sums.
 
     L1 bounds the L1 norm of every x-monomial's q,t coefficient:
-    L1(row) = max over drops d of the sum, over the edges (mu, weight)
-    with |row| - |mu| = d, of L1(weight) * L1(F(mu)).  ``_row_sums``
-    says why this holds.
+    L1(row) = max over drops d of the sum, over the edges (mu, d, weight),
+    of L1(weight) * L1(F(mu)).  ``_row_sums`` says why this holds.
     """
     bounds = {mu: _bounds(f) for mu, f in base.items()}
     for level in reversed(levels):
         for row, edges in level.items():
             q_deg = t_deg = 0
             by_drop: dict[int, int] = {}
-            size = sum(row)
-            for mu, weight in edges:
+            for mu, drop, weight in edges:
                 wq, wt, wl = _bounds(weight)
                 mq, mt, ml = bounds[mu]
                 q_deg = max(q_deg, wq + mq)
                 t_deg = max(t_deg, wt + mt)
-                drop = size - sum(mu)
                 by_drop[drop] = by_drop.get(drop, 0) + wl * ml
             bounds[row] = q_deg, t_deg, max(by_drop.values(), default=0)
     return bounds[top]
@@ -388,17 +391,17 @@ def _row_sums(top: tuple[int, ...], levels: list[dict],
     """F(top), packed, and its layout: the row step applied level by level, bottom up, over base.
 
     ``levels`` lists, top row first, each level's rows mapped to their
-    (mu, weight) edges; the last level's next rows mu are the keys of
-    ``base``, which maps each to F(mu), a Polynomial in len(mu) variables.
-    The row step is
+    (mu, drop, weight) edges, drop = |row| - |mu|; the last level's next
+    rows mu are the keys of ``base``, which maps each to F(mu), a
+    Polynomial in len(mu) variables.  The row step is
 
-        F(row) = sum over edges (mu, weight) of weight * x_k^(|row| - |mu|) * F(mu),
+        F(row) = sum over edges (mu, drop, weight) of weight * x_k^drop * F(mu),
 
     with each F held as {x-exponents of the last len(row) variables:
     packed q,t coefficient}, so each edge costs one multiply-add per
     x-monomial.  The packed layout comes from ``_top_bounds``: an edge
-    writes only x-monomials whose x_k exponent is its drop |row| - |mu|,
-    so a coefficient of F(row), and every partial sum of it, adds
+    writes only x-monomials whose x_k exponent is its drop, so a
+    coefficient of F(row), and every partial sum of it, adds
     products weight * (a coefficient of F(mu)) over edges of one drop
     only.  Each product has L1 norm at most L1(weight) * L1(F(mu)), so
     the largest per-drop sum of these bounds it.  Every row is reachable
@@ -413,11 +416,11 @@ def _row_sums(top: tuple[int, ...], levels: list[dict],
         for row, edges in level.items():
             out: dict[tuple[int, ...], int] = {}
             get = out.get
-            for mu, weight in edges:
+            for mu, drop, weight in edges:
                 w = layout.pack(weight)[()]
-                drop = (sum(row) - sum(mu),)
+                lead = (drop,)
                 for xs, f in below[mu].items():
-                    key = drop + xs
+                    key = lead + xs
                     out[key] = get(key, 0) + w * f
             above[row] = out
         below = above
@@ -429,16 +432,16 @@ def _transfer(top: tuple[int, ...], edge_weight, divide: bool = False) -> Polyno
 
     With ``divide``, the proven quotient of F(top) by v_n(x;q) instead.
     """
-    # Top down: the rows of each length reachable through nonzero weights,
-    # each mapped to its (next row, weight) edges.
-    levels: list[dict] = [{top: None}]
-    for _ in range(len(top) - 1):
-        for row in levels[-1]:
-            levels[-1][row] = [(mu, w) for mu in _interleavings(row)
-                               if is_strictly_decreasing(mu) and (w := edge_weight(row, mu))]
-        levels.append(dict.fromkeys(mu for edges in levels[-1].values() for mu, _ in edges))
-    base = {row: Polynomial._raw(1, {(row[0], 0, 0): 1}) for row in levels.pop()}
-    packed, layout = _row_sums(top, levels, base)
+    # Top down to the empty row: the rows of each length reachable through
+    # nonzero weights, each mapped to its (next row, drop, weight) edges.
+    levels: list[dict] = []
+    rows = (top,)
+    for _ in top:
+        levels.append({row: [(mu, sum(row) - sum(mu), w) for mu in _interleavings(row)
+                             if is_strictly_decreasing(mu) and (w := edge_weight(row, mu))]
+                       for row in rows})
+        rows = dict.fromkeys(mu for edges in levels[-1].values() for mu, _, _ in edges)
+    packed, layout = _row_sums(top, levels, {(): _ONE})
     n = len(top)
     if divide:
         return layout.quotient(n, packed, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -502,20 +505,12 @@ def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
     n = len(lam)
     oracle._check_cap(n)
     alpha = add_staircase(lam)
-    if n == 1:
-        levels, base = [], {alpha: Polynomial._raw(1, {(alpha[0], 0, 0): 1})}
-    else:
-        rho = staircase(n - 1)
-        edges = [(mu, w) for mu in _interleavings(alpha) if (w := weight(alpha, mu))]
-        levels = [{alpha: edges}]
-        base = {mu: inner(tuple(m - r for m, r in zip(mu, rho))) for mu, _ in edges}
-    packed, layout = _row_sums(alpha, levels, base)
+    rho = staircase(n)[1:]
+    edges = [(mu, sum(alpha) - sum(mu), w) for mu in _interleavings(alpha)
+             if (w := weight(alpha, mu))]
+    base = {mu: inner(tuple(m - r for m, r in zip(mu, rho))) for mu, _, _ in edges}
+    packed, layout = _row_sums(alpha, [{alpha: edges}], base)
     return layout.quotient(n, packed, [(0, j) for j in range(1, n)])
-
-
-def _det_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
-    # Every mu comes from _interleavings(alpha), so label it unchecked.
-    return _det_recurrence(_row_labels(alpha, mu))
 
 
 def hl_row_quotient(lam: Sequence[int]) -> Polynomial:

@@ -49,7 +49,7 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .polyring import Monomial, Polynomial, generators, monomial, permutation_sign
-from .patterns import add_staircase, check_partition
+from .patterns import check_partition
 
 DEFAULT_MAX_VARS = 6
 _ENV_CAP = "GT_ORACLE_NMAX"
@@ -149,7 +149,7 @@ def schur(lam: Sequence[int]) -> Polynomial:
     """Schur polynomial via the bialternant: antisymmetrize x^(lam + staircase), divide by the Vandermonde."""
     lam = check_partition(lam)
     _check_cap(len(lam))
-    return _bialternant(add_staircase(lam))
+    return _bialternant(tuple(map(add, lam, range(len(lam) - 1, -1, -1))))
 
 
 def schur_coefficients(kappa: Sequence[int]) -> dict[tuple[int, ...], Polynomial]:

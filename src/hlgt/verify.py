@@ -5,7 +5,8 @@ tolerances.  A suite iterates all weakly decreasing tuples up to a given
 length and part bound and compares a pattern-statistic evaluator against
 the brute-force oracle.  ``run_suite`` refuses an empty grid (n_max < 1
 or part_max < 0) and an n_max over the oracle's n! cap before any case,
-and each suite calls the oracle before any pattern sum.
+and a grid on which the suite records no identity after its last case;
+each suite calls the oracle before any pattern sum.
 
 The identities pattern sum = v_n(x;q) * H, with H = HL_lam(x;t) or
 s_lam(x), are checked in the quotient: ``main``, ``recursive`` and
@@ -172,5 +173,8 @@ def run_suite(suite: str, n_max: int, part_max: int) -> VerifyReport:
     for lam in grid(n_max, part_max):
         for name in suites:
             report.cases.extend(check_case(name, lam))
+    if not report.cases:
+        raise ValueError(
+            f"suite {suite!r} records no identity on the grid n <= {n_max}, parts <= {part_max}")
     report.wall_time = time.perf_counter() - start
     return report

@@ -287,6 +287,16 @@ def test_verify_rejects_negative_max_part(capsys):
     assert "--max-part must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [("--n", "1"), ("--n", "3", "--max-part", "0")],
+                         ids=["one-part", "zero-parts"])
+def test_verify_refuses_a_run_that_checks_nothing(capsys, argv):
+    code, out, err = run(capsys, "verify", "--suite", "raising", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: suite 'raising' records no identity on the grid")
+    assert err.count("\n") == 1
+
+
 def test_verify_rejects_garbage_oracle_cap(capsys, monkeypatch):
     monkeypatch.setenv("GT_ORACLE_NMAX", "lots")
     code, out, err = run(capsys, "verify", "--n", "2")

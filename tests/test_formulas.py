@@ -134,6 +134,10 @@ def test_row_weight_sum_worked_example():
     assert row_weight_sum((2, 0), (1,)) == ONE - Q
 
 
+def test_row_weight_sum_accepts_any_sequence_as_its_rows():
+    assert row_weight_sum([3, 1, 0], [2, 0]) == row_weight_sum((3, 1, 0), (2, 0))
+
+
 def test_pattern_row_weights():
     pattern = GtPattern([(3, 1, 0), (2, 0), (1,)])
     weights = pattern_row_weights(pattern)
@@ -161,6 +165,13 @@ TOP_ROW_ROUTES = [
 def test_an_empty_top_row_raises_value_error(route):
     with pytest.raises(ValueError):
         route(())
+
+
+@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("route", TOP_ROW_ROUTES, ids=lambda route: route.__name__)
+def test_a_one_part_top_row_gives_x1_to_its_part(route, a):
+    # The walk's last edge drops a one-part row to the empty row.
+    assert route((a,)) == monomial(1, (a,))
 
 
 def test_hl_pattern_expansion_base_cases():

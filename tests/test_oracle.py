@@ -59,6 +59,12 @@ def test_schur_examples():
     assert schur((1, 1)) == xs2[0] * xs2[1]
 
 
+def test_every_oracle_function_gives_one_for_the_empty_partition():
+    one = Polynomial.one(0)
+    assert schur(()) == hall_littlewood(()) == monomial_symmetric(()) == one
+    assert schur_coefficients(()) == {(): one}
+
+
 def test_schur_rejects_non_monotone():
     with pytest.raises(ValueError):
         schur((1, 2))

@@ -138,6 +138,14 @@ def test_an_empty_grid_is_refused(n_max, part_max, message):
         run_suite("all", n_max, part_max)
 
 
+@pytest.mark.parametrize(("n_max", "part_max"), [(1, 3), (3, 0)], ids=["one-part", "zero-parts"])
+def test_a_grid_on_which_the_suite_records_nothing_is_refused(n_max, part_max):
+    # No part of these grids exceeds its right neighbour by exactly one.
+    with pytest.raises(ValueError, match=f"'raising' records no identity on the grid "
+                                         f"n <= {n_max}, parts <= {part_max}"):
+        run_suite("raising", n_max, part_max)
+
+
 def test_identities_and_verdicts_on_the_n4_grid_are_pinned():
     # (suite, lambda, identity, ok) for every suite on grid(4, 3), as the
     # oracle-product comparison gave them before the quotient routes.
@@ -153,7 +161,8 @@ def test_identities_and_verdicts_on_the_n4_grid_are_pinned():
 def test_one_run_shares_each_quotient_and_schur_expansion(monkeypatch):
     # main, tokuyama, stanley and monomial all compare the closed quotient,
     # and the oracle's HL, s_lam and raised HL overlap across the suites.
+    # The one-part recursive cases add the oracle's expansion of ().
     calls = count_memoized_work(monkeypatch)
     report = run_suite("all", 4, 3)
     assert report.total == 681 and report.failed == 0
-    assert calls == {"closed_quotient": 69, "schur_coefficients": 152}
+    assert calls == {"closed_quotient": 69, "schur_coefficients": 153}
