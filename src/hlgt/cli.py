@@ -23,21 +23,17 @@ from .polyring import Polynomial
 MODES = ("oracle", "closed", "recursive", "tokuyama", "stanley")
 
 
-def _int_list(nonnegative: bool):
-    """An argparse type for comma-separated integers, e.g. ``2,1,0``."""
+def _int_list(text: str) -> tuple[int, ...]:
+    """An argparse type for comma-separated integers, e.g. ``2,1,0``.
 
-    def parse(text: str) -> tuple[int, ...]:
-        try:
-            values = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a comma-separated list of integers, got {text!r}"
-            ) from None
-        if nonnegative and any(v < 0 for v in values):
-            raise argparse.ArgumentTypeError(f"parts must be nonnegative: {text!r}")
-        return values
-
-    return parse
+    It checks the syntax only; the code that uses the values checks their range.
+    """
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers, got {text!r}"
+        ) from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -54,8 +50,8 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    # The oracle takes exponent tuples with ascents, so the partition is checked here.
-    lam = check_partition(args.lam, strict=args.mode == "stanley")
+    # The oracle takes exponent tuples with ascents, so only its partition is checked here.
+    lam = check_partition(args.lam) if args.mode == "oracle" else args.lam
     evaluator = {
         "oracle": oracle.hall_littlewood,
         "closed": formulas.hl_pattern_expansion,
@@ -186,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="evaluate one polynomial")
-    p_compute.add_argument("--lambda", dest="lam", type=_int_list(nonnegative=True),
-                           required=True,
+    p_compute.add_argument("--lambda", dest="lam", type=_int_list, required=True,
                            help="partition as comma-separated parts, e.g. 2,1,0")
     p_compute.add_argument("--mode", choices=MODES, required=True)
     p_compute.add_argument("--format", choices=("text", "json"), default="text")
@@ -195,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_patterns = sub.add_parser("patterns", help="list GT patterns for a top row")
-    p_patterns.add_argument("--top", type=_int_list(nonnegative=True), required=True)
+    p_patterns.add_argument("--top", type=_int_list, required=True)
     p_patterns.add_argument("--strict", action="store_true",
                             help="only patterns with strictly decreasing rows")
     p_patterns.add_argument("--stats", action="store_true",
@@ -214,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the oracle and pattern routes to HL")
-    p_bench.add_argument("--n", dest="n_list", type=_int_list(nonnegative=False),
+    p_bench.add_argument("--n", dest="n_list", type=_int_list,
                          required=True, help="comma-separated list of lengths, e.g. 3,4")
     p_bench.add_argument("--max-part", dest="part_max", type=int, default=2)
     p_bench.add_argument("--repeats", type=int, default=3)

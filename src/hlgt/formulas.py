@@ -206,9 +206,7 @@ def _row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomia
 
 
 def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
-    """The per-row-pair weight sums of a strict pattern (q,t polynomials)."""
-    if not pattern.is_strict:
-        raise ValueError("row weights are defined for strict patterns only")
+    """The per-row-pair q,t weight sums of a strict pattern; row_weight_sum checks the rows."""
     rows = pattern.rows
     return [row_weight_sum(rows[i], rows[i + 1]) for i in range(len(rows) - 1)]
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 import operator
-from itertools import chain
+from itertools import chain, repeat
+from math import prod
 from typing import Mapping, Sequence
 
 # Exponent tuple: x_1 .. x_n exponents, then the q exponent, then the t
@@ -168,16 +169,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one(self.n_vars)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return prod(repeat(self, exponent), start=Polynomial.one(self.n_vars))
 
     # ------------------------------------------------------------------
     # division and specialization

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 from . import formulas, oracle
 from .polyring import Polynomial, monomial, parameter
-from .patterns import is_strictly_decreasing, staircase, weakly_decreasing_tuples
+from .patterns import check_partition, is_strictly_decreasing, staircase, weakly_decreasing_tuples
 
 SUITE_NAMES = ("main", "recursive", "tokuyama", "stanley", "monomial", "raising", "all")
 
@@ -144,15 +144,15 @@ def check_case(suite: str, lam: Sequence[int]) -> list[CaseResult]:
         record("closed@t=1=vq*monomial",
                closed is not None and closed.substitute("t", 1) == mono)
     elif suite == "raising":
-        t = parameter("t", n)
-        base = oracle.hall_littlewood(lam)
-        for i in range(n - 1):
-            if lam[i] == lam[i + 1] + 1:
-                raised = formulas.elementary_raise(lam, i)
-                record(
-                    f"raise[{i + 1},{i + 2}]=t*hl",
-                    oracle.hall_littlewood(raised) == t * base,
-                )
+        # Refuse a bad or over-cap case as every suite does, even with no raise to check.
+        check_partition(lam)
+        oracle._check_cap(n)
+        raises = [i for i in range(n - 1) if lam[i] == lam[i + 1] + 1]
+        if raises:
+            t_hl = parameter("t", n) * oracle.hall_littlewood(lam)
+        for i in raises:
+            raised = formulas.elementary_raise(lam, i)
+            record(f"raise[{i + 1},{i + 2}]=t*hl", oracle.hall_littlewood(raised) == t_hl)
     else:
         raise ValueError(f"unknown suite {suite!r}")
     return results

@@ -71,9 +71,13 @@ def test_compute_stanley_needs_strict(capsys):
 
 
 def test_compute_rejects_negative_parts(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run(capsys, "compute", "--lambda", "1,-1", "--mode", "oracle")
-    assert excinfo.value.code == 2
+    # The library's partition check refuses a negative part, in the oracle
+    # mode's own check and in the pattern route's.
+    for mode in ("oracle", "closed"):
+        code, out, err = run(capsys, "compute", "--lambda", "1,-1", "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert err == "error: parts must be nonnegative integers: (1, -1)\n"
 
 
 def test_compute_beyond_oracle_cap_is_a_usage_error(capsys):
@@ -404,7 +408,7 @@ def test_bench_fails_when_the_quotient_is_unproven(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("argv, message", [
     (("compute", "--lambda", "1,x", "--mode", "oracle"), "comma-separated list of integers"),
-    (("patterns", "--top", "2,-1"), "parts must be nonnegative"),
+    (("patterns", "--top", "2;1"), "comma-separated list of integers"),
     (("bench", "--n", "2,,3"), "comma-separated list of integers"),
 ])
 def test_list_arguments_keep_their_errors(capsys, argv, message):
@@ -412,6 +416,13 @@ def test_list_arguments_keep_their_errors(capsys, argv, message):
         main(list(argv))
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_patterns_rejects_negative_parts(capsys):
+    code, out, err = run(capsys, "patterns", "--top", "2,-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: parts must be nonnegative integers: (2, -1)\n"
 
 
 def test_bench_size_below_one_is_its_own_usage_error(capsys):

@@ -167,16 +167,11 @@ def test_an_empty_top_row_raises_value_error(route):
         route(())
 
 
-@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("a", range(5))
 @pytest.mark.parametrize("route", TOP_ROW_ROUTES, ids=lambda route: route.__name__)
 def test_a_one_part_top_row_gives_x1_to_its_part(route, a):
     # The walk's last edge drops a one-part row to the empty row.
     assert route((a,)) == monomial(1, (a,))
-
-
-def test_hl_pattern_expansion_base_cases():
-    assert hl_pattern_expansion((0,)) == Polynomial.one(1)
-    assert hl_pattern_expansion((3,)) == monomial(1, (3,))
 
 
 def test_hl_pattern_expansion_two_vars():
@@ -188,11 +183,6 @@ def test_hl_pattern_expansion_matches_oracle():
     for lam in [(1,), (0, 0), (2, 1), (2, 0), (1, 0, 0), (2, 1, 0), (2, 2, 1)]:
         product = oracle.weyl_denominator(len(lam), "q") * oracle.hall_littlewood(lam)
         assert hl_pattern_expansion(lam) == product
-
-
-def test_hl_row_recursion_base_cases():
-    assert hl_row_recursion((0,)) == Polynomial.one(1)
-    assert hl_row_recursion((4,)) == monomial(1, (4,))
 
 
 def test_hl_row_recursion_two_vars():

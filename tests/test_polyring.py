@@ -106,6 +106,16 @@ def test_pow():
         xs[0] ** -1
 
 
+@pytest.mark.parametrize("k", range(6))
+def test_pow_is_the_repeated_product(k):
+    xs, _, t = ring(2)
+    p = xs[0] * xs[0] - 2 * t * xs[1] + 3
+    expected = Polynomial.one(2)
+    for _ in range(k):
+        expected = expected * p
+    assert p ** k == expected
+
+
 def cancelling_pairs():
     """(a, b) with b = c - a in 2 x-variables: the terms of a cancel in a + b, leaving c."""
     return st.tuples(polynomials(2), polynomials(2)).map(

@@ -118,8 +118,25 @@ def _refuse_pattern_sums(monkeypatch):
 @pytest.mark.parametrize("suite", SUITE_NAMES[:-1])
 def test_an_over_cap_case_is_refused_before_any_pattern_sum(suite, monkeypatch):
     _refuse_pattern_sums(monkeypatch)
-    with pytest.raises(oracle.OracleCapError, match="safety cap"):
-        check_case(suite, (2, 1, 0, 0))
+    # (0, 0, 0, 0) has no part one above the next, so the raising suite needs no HL.
+    for lam in [(2, 1, 0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(oracle.OracleCapError, match="safety cap"):
+            check_case(suite, lam)
+
+
+@pytest.mark.parametrize("lam", [(2, -1), (1, 2)], ids=["negative", "ascent"])
+@pytest.mark.parametrize("suite", SUITE_NAMES[:-1])
+def test_every_suite_refuses_a_bad_partition(suite, lam):
+    with pytest.raises(ValueError, match="parts must be"):
+        check_case(suite, lam)
+
+
+def test_the_raising_suite_computes_no_hl_it_does_not_compare(monkeypatch):
+    def no_hl(kappa):
+        raise AssertionError(f"computed HL{kappa}")
+
+    monkeypatch.setattr(oracle, "hall_littlewood", no_hl)
+    assert check_case("raising", (2, 0)) == []
 
 
 def test_an_over_cap_grid_is_refused_before_any_case(monkeypatch):
