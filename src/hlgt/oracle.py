@@ -29,11 +29,16 @@ division.  A nonzero remainder at any step is a fatal internal error.
 ``schur`` is one such bialternant, and ``monomial_symmetric`` is the plain
 orbit sum of lam.
 
-The signed-representative pass behind ``schur_coefficients`` is memoized
-per input tuple, so one process runs it once per kappa;
-``formulas.clear_caches`` empties the table.  The part check and the cap
-run on every call, outside the memo, and ``schur_coefficients`` returns
-a fresh dict each time.
+The signed-representative pass behind ``schur_coefficients`` shifts each
+term of the memoized v_n(x;t) = prod_{i<j}(x_i - t x_j) by kappa, with no
+polynomial product, and reads the sign of each sort from one table,
+``_signs(n)``: every permutation of range(n) mapped to its sign, in
+``itertools.permutations`` order.  The bialternants weight their orbit
+sums with the values of the same table.  The pass is memoized per input
+tuple, so one process runs it once per kappa; ``formulas.clear_caches``
+empties that memo and the sign table.  The part check and the cap run on
+every call, outside the memo, and ``schur_coefficients`` returns a fresh
+dict each time.
 
 The n! enumeration is capped (default 6 variables); set the environment
 variable GT_ORACLE_NMAX to raise or lower the cap.
@@ -46,9 +51,9 @@ from functools import lru_cache
 from itertools import chain, permutations, repeat
 from math import factorial, prod
 from operator import add, mul, sub
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from .polyring import Monomial, Polynomial, generators, monomial, permutation_sign
+from .polyring import Monomial, Polynomial, generators, permutation_sign
 from .patterns import check_partition
 
 DEFAULT_MAX_VARS = 6
@@ -96,12 +101,12 @@ def _weyl_denominator(n: int, deform: str | None) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _signs(n: int) -> tuple[int, ...]:
-    # The sign of each permutation, in the order of itertools.permutations(range(n)).
-    return tuple(map(permutation_sign, permutations(range(n))))
+def _signs(n: int) -> dict[tuple[int, ...], int]:
+    # {permutation of range(n): its sign}, in the order of itertools.permutations(range(n)).
+    return {p: permutation_sign(p) for p in permutations(range(n))}
 
 
-def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Sequence[int]) -> Polynomial:
+def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Collection[int]) -> Polynomial:
     """sum over sigma in S_n of weights[sigma] * sigma(term), over the terms of reps.
 
     ``weights`` holds one weight per permutation, in the order of
@@ -118,12 +123,14 @@ def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Sequence[int]) -> 
 
 def _signed_reps(terms: Mapping[Monomial, int], n: int) -> dict[Monomial, int]:
     """The alternant of terms as {decreasing x-exponents + (q, t): coefficient}."""
+    sign = _signs(n)
+
     def pairs():
         for mono, coeff in terms.items():
             xs = mono[:n]
             if len(set(xs)) == n:  # else a transposition fixes it and flips its sign
-                order = sorted(range(n), key=xs.__getitem__, reverse=True)
-                yield tuple(xs[k] for k in order) + mono[n:], permutation_sign(order) * coeff
+                order = tuple(sorted(range(n), key=xs.__getitem__, reverse=True))
+                yield tuple(map(xs.__getitem__, order)) + mono[n:], sign[order] * coeff
 
     return Polynomial._collect(n, pairs())._terms
 
@@ -142,7 +149,7 @@ def _bialternant(alpha: tuple[int, ...]) -> Polynomial:
     # a_alpha / a_rho for strictly decreasing alpha: the Schur polynomial
     # of alpha - rho, through the exact Vandermonde division.
     n = len(alpha)
-    return _divide_vandermonde(_orbit_sum({alpha + (0, 0): 1}, n, _signs(n)))
+    return _divide_vandermonde(_orbit_sum({alpha + (0, 0): 1}, n, _signs(n).values()))
 
 
 def schur(lam: Sequence[int]) -> Polynomial:
@@ -171,9 +178,12 @@ def _schur_coefficients(kappa: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], 
     # schur_coefficients of a checked tuple, as (mu, K[mu]) pairs.
     n = len(kappa)
     rho = range(n - 1, -1, -1)
-    base = monomial(1, kappa) * weyl_denominator(n, "t")
+    # x^kappa * v_n(x;t): the terms of v_n(x;t), each shifted by kappa.
+    shift = kappa + (0, 0)
+    base = {tuple(map(add, mono, shift)): c
+            for mono, c in _weyl_denominator(n, "t")._terms.items()}
     grouped: dict[tuple[int, ...], dict[Monomial, int]] = {}
-    for mono, coeff in _signed_reps(base._terms, n).items():
+    for mono, coeff in _signed_reps(base, n).items():
         grouped.setdefault(tuple(map(sub, mono[:n], rho)), {})[mono[n:]] = coeff
     return tuple((mu, Polynomial._raw(0, grouped[mu])) for mu in sorted(grouped, reverse=True))
 

@@ -47,7 +47,28 @@ def x_coefficient(p, x_exps):
 
 def orbit_alternant(terms, n):
     """sum over sigma in S_n of sign(sigma) * sigma(terms), through the oracle's orbit representatives."""
-    return oracle._orbit_sum(oracle._signed_reps(terms, n), n, oracle._signs(n))
+    return oracle._orbit_sum(oracle._signed_reps(terms, n), n, oracle._signs(n).values())
+
+
+def product_schur_coefficients(kappa):
+    """oracle.schur_coefficients(kappa) through the full product x^kappa * v_n(x;t).
+
+    Each term with distinct x-exponents is sorted into decreasing order,
+    and its coefficient, times ``permutation_sign`` of the sort, is
+    collected on mu = sorted exponents - staircase.
+    """
+    n = len(kappa)
+    grouped = {}
+    for mono, coeff in (monomial(1, kappa) * weyl_denominator(n, "t")).terms():
+        xs = mono[:n]
+        if len(set(xs)) < n:
+            continue
+        order = sorted(range(n), key=xs.__getitem__, reverse=True)
+        mu = tuple(xs[k] - (n - 1 - i) for i, k in enumerate(order))
+        qt = grouped.setdefault(mu, {})
+        qt[mono[n:]] = qt.get(mono[n:], 0) + permutation_sign(order) * coeff
+    coefficients = {mu: Polynomial(0, qt) for mu, qt in grouped.items()}
+    return {mu: coefficients[mu] for mu in sorted(grouped, reverse=True) if coefficients[mu]}
 
 
 def literal_alternant(p):

@@ -1,12 +1,13 @@
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from hlgt import formulas, oracle
+from hlgt import cli, formulas, oracle
 from hlgt.cli import main
 from hlgt.polyring import Polynomial
 
@@ -364,6 +365,18 @@ def test_bench_rejects_negative_max_part(capsys):
     assert "--max-part must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--max-part", "-1"), "--max-part must be nonnegative"),
+    (("--repeats", "0"), "--repeats must be at least 1"),
+])
+def test_bench_checks_its_own_flags_before_the_cap(capsys, argv, message):
+    # --n 9 is beyond the default cap, but the flag's own error comes first.
+    code, out, err = run(capsys, "bench", "--n", "9", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bench_rejects_garbage_oracle_cap(capsys, monkeypatch):
     monkeypatch.setenv("GT_ORACLE_NMAX", "lots")
     code, out, err = run(capsys, "bench", "--n", "2", "--repeats", "1")
@@ -441,6 +454,64 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("error:") == 1
     assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+
+def _without_wall_time(argv, out):
+    # verify reports its own wall time, which changes from run to run.
+    if argv[0] != "verify":
+        return out
+    if "json" in argv:
+        report = json.loads(out)
+        del report["wall_time"]
+        return report
+    return re.sub(r"wall=[0-9.]+s", "wall=", out)
+
+
+def _observe(capsys, argv, out_path):
+    # Exit code, stdout, stderr and --out file of one main call.
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    written = out_path.read_text() if out_path.exists() else None
+    if written is not None:
+        out_path.unlink()
+    return code, _without_wall_time(argv, captured.out), captured.err, written
+
+
+def test_main_builds_one_parser_and_leaks_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "hl.txt"
+    compute = ("compute", "--lambda", "2,1,0", "--mode", "oracle")
+    verify_grid = ("verify", "--n", "2", "--max-part", "1", "--suite", "main")
+    calls = [
+        (*compute, "--out", str(target)), compute,
+        (*compute, "--format", "json"), compute,
+        (*verify_grid, "--format", "json"), verify_grid,
+        ("compute", "--lambda", "1,x", "--mode", "oracle"), compute,
+    ]
+    cached, fresh = cli._parser, cli.build_parser
+    # What each call gives through a parser built for it alone.
+    monkeypatch.setattr(cli, "_parser", fresh)
+    expected = [_observe(capsys, argv, target) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cached)
+
+    built = []
+
+    def spy():
+        built.append(1)
+        return fresh()
+
+    cached.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", spy)
+    observed = [_observe(capsys, argv, target) for argv in calls]
+    assert len(built) == 1
+    assert observed == expected
+    assert expected[0][1] == "" and expected[0][3] == expected[1][1]
+    assert expected[6][0] == ("SystemExit", 2)
 
 
 # ----------------------------------------------------------------------

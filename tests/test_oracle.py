@@ -14,10 +14,18 @@ from hlgt.oracle import (
     schur_coefficients,
     weyl_denominator,
 )
-from hlgt.polyring import Polynomial, generators, monomial
+from hlgt.polyring import Polynomial, generators, monomial, permutation_sign
 from hlgt.patterns import enumerate_patterns, staircase, weakly_decreasing_tuples
+from hlgt.verify import grid
 
-from helpers import coeff_sum, literal_alternant, literal_numerator, orbit_alternant, permuted
+from helpers import (
+    coeff_sum,
+    literal_alternant,
+    literal_numerator,
+    orbit_alternant,
+    permuted,
+    product_schur_coefficients,
+)
 
 
 def test_weyl_denominator_two_vars():
@@ -224,6 +232,24 @@ def test_hall_littlewood_is_its_schur_expansion(kappa):
         lifted = Polynomial(n, {(0,) * n + mono: c for mono, c in coeff.terms()})
         expansion = expansion + lifted * schur(mu)
     assert hall_littlewood(kappa) == expansion
+
+
+PRODUCT_REFERENCE_CASES = [*grid(5, 3), *grid(6, 2), (0, 2, 1), (0, 1, 1), (1, 3, 2, 0)]
+
+
+@pytest.mark.parametrize("kappa", PRODUCT_REFERENCE_CASES, ids=str)
+def test_schur_coefficients_match_the_full_product(kappa):
+    # The shifted terms of v_n(x;t) and the sign table against the product
+    # x^kappa * v_n(x;t) and permutation_sign, mu order included.
+    expected = product_schur_coefficients(kappa)
+    assert list(schur_coefficients(kappa).items()) == list(expected.items())
+
+
+def test_sign_table_holds_every_permutation_sign():
+    for n in range(7):
+        table = oracle._signs(n)
+        assert list(table) == list(permutations(range(n)))
+        assert all(sign == permutation_sign(p) for p, sign in table.items())
 
 
 def test_every_bialternant_is_divided_exactly(monkeypatch):
