@@ -1,15 +1,14 @@
 """Gelfand-Tsetlin patterns and the entry statistics that weight them.
 
 Shows pattern enumeration for a top row, the classic leaning counts, the
-refined per-entry labels, and the diagonal/subdiagonal weights built from
-them.
+refined per-entry labels, and the transition determinant those labels
+fill for one row pair.
 """
 
 from hlgt import (
-    diagonal_weight,
     entry_labels,
     enumerate_patterns,
-    subdiagonal_weight,
+    transition_det,
 )
 
 print("== rows that fit under (3, 1, 0) ==")
@@ -30,6 +29,5 @@ print("== refined labels for the rows (5, 3, 1) over (4, 3) ==")
 upper, lower = (5, 3, 1), (4, 3)
 for i, entry in enumerate(lower):
     labels = entry_labels(upper, lower, i)
-    print(f"  entry {entry}: left={labels.left!r} right={labels.right!r}"
-          f"  diagonal weight = {diagonal_weight(upper, lower, i)}")
-print(f"  subdiagonal weight at position 1 = {subdiagonal_weight(upper, lower, 1)}")
+    print(f"  entry {entry}: left={labels.left!r} right={labels.right!r}")
+print(f"  transition determinant = {transition_det(upper, lower)}")

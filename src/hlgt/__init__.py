@@ -27,14 +27,12 @@ from .patterns import (
     GtPattern,
     add_staircase,
     check_partition,
-    diagonal_weight,
     entry_labels,
     enumerate_patterns,
     interleaves,
     is_strictly_decreasing,
     is_weakly_decreasing,
     staircase,
-    subdiagonal_weight,
     weakly_decreasing_tuples,
 )
 from .formulas import (
@@ -77,7 +75,6 @@ __all__ = [
     "add_staircase",
     "check_partition",
     "constant",
-    "diagonal_weight",
     "elementary_raise",
     "entry_labels",
     "enumerate_patterns",
@@ -104,7 +101,6 @@ __all__ = [
     "staircase",
     "stanley_filtered_sum",
     "stanley_sum",
-    "subdiagonal_weight",
     "tokuyama_quotient",
     "tokuyama_row_quotient",
     "tokuyama_sum",

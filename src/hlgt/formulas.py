@@ -1,12 +1,15 @@
 """Gelfand-Tsetlin pattern expansions of Hall-Littlewood polynomials.
 
 The central object is the tridiagonal transition determinant attached to a
-strictly decreasing row alpha and a candidate next row mu: diagonal
-entries are the per-entry ``diagonal_weight`` values of mu under alpha,
-the superdiagonal is all ones, and the subdiagonal holds the
-``subdiagonal_weight`` values.  Both read only the label word of mu under
-alpha (its entries' labels, in order), so the determinant is memoized on
-that word and evaluated by the two-term top-row expansion
+strictly decreasing row alpha and a candidate next row mu: the diagonal
+holds ``_diagonal_weight`` of the (left, right) labels of each entry of
+mu under alpha, the superdiagonal is all ones, and the subdiagonal holds
+``_subdiagonal_weight`` of the labels of each two adjacent entries.
+These label-pair entries and the q,t weight of each label live here,
+beside the determinant, their one consumer.  Both read only the label
+word of mu under alpha (its entries' labels, in order), so the
+determinant is memoized on that word and evaluated by the two-term
+top-row expansion
 
     M(word) = w(word_1) * M(word') - d(word_1, word_2) * M(word''),
 
@@ -81,21 +84,18 @@ from math import prod
 from typing import Sequence
 
 from . import oracle
-from .polyring import Polynomial, constant, synthetic_division
+from .polyring import Polynomial, constant, parameter, synthetic_division
 from .patterns import (
     ALMOST_LEFT,
+    ALMOST_RIGHT,
     LEFT,
     RIGHT,
-    _ONE,
-    _Q,
-    _ZERO,
+    SPECIAL,
     GtPattern,
     _check_upper_row,
-    _diagonal_weight,
     _interleavings,
     _leaning,
     _row_labels,
-    _subdiagonal_weight,
     add_staircase,
     check_partition,
     interleaves,
@@ -162,6 +162,37 @@ def raising_closure(alpha: tuple[int, ...]) -> tuple[RaisingOperator, ...]:
 # ----------------------------------------------------------------------
 # transition determinant
 
+# Label weight g: the q,t factor contributed by each refined label.
+_Q = parameter("q", 0)
+_T = parameter("t", 0)
+_ONE = constant(1, 0)
+_ZERO = Polynomial.zero(0)
+_LABEL_WEIGHT = {
+    LEFT: -_Q,
+    ALMOST_LEFT: _T,
+    RIGHT: _ONE,
+    ALMOST_RIGHT: -(_Q * _T),
+    SPECIAL: _ZERO,
+}
+
+
+def _diagonal_weight(left: str, right: str) -> Polynomial:
+    # Sum of the two label weights, plus (1-q)(1-t) when the entry touches
+    # neither parent exactly.  (l, r) cannot occur under a strict row.
+    if left == LEFT and right == RIGHT:
+        raise ArithmeticError("label (l, r): an entry equal to both parents of a strict row")
+    if left == LEFT or right == RIGHT:
+        base = _ZERO
+    else:
+        base = (_ONE - _Q) * (_ONE - _T)
+    return base + _LABEL_WEIGHT[left] + _LABEL_WEIGHT[right]
+
+
+def _subdiagonal_weight(first: tuple[str, str], second: tuple[str, str]) -> Polynomial:
+    # Right label weight of an entry times the left label weight of the next.
+    return _LABEL_WEIGHT[first[1]] * _LABEL_WEIGHT[second[0]]
+
+
 @lru_cache(maxsize=None)
 def _det_recurrence(word: tuple[tuple[str, str], ...]) -> Polynomial:
     if not word:
@@ -188,7 +219,7 @@ def transition_det(alpha: Sequence[int], mu: Sequence[int]) -> Polynomial:
     alpha = _check_upper_row(alpha)
     mu = tuple(mu)
     if not interleaves(alpha, mu):
-        return Polynomial.zero(0)
+        return _ZERO
     return _det_weight(alpha, mu)
 
 

@@ -83,19 +83,19 @@ def _check_cap(n: int) -> None:
         )
 
 
-def weyl_denominator(n: int, deform: str | None = None) -> Polynomial:
-    """prod_{i<j} (x_i - p*x_j) with p = 1 (deform=None), q, or t."""
-    if deform not in (None, "q", "t"):
-        raise ValueError(f"deform must be None, 'q' or 't', got {deform!r}")
+def weyl_denominator(n: int, deform: str) -> Polynomial:
+    """prod_{i<j} (x_i - p*x_j) with p = q (deform="q") or t (deform="t")."""
+    if deform not in ("q", "t"):
+        raise ValueError(f"deform must be 'q' or 't', got {deform!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return _weyl_denominator(n, deform)
 
 
 @lru_cache(maxsize=None)
-def _weyl_denominator(n: int, deform: str | None) -> Polynomial:
+def _weyl_denominator(n: int, deform: str) -> Polynomial:
     xs, q, t = generators(n)
-    p = {None: 1, "q": q, "t": t}[deform]
+    p = q if deform == "q" else t
     return prod((xs[i] - p * xs[j] for i in range(n) for j in range(i + 1, n)),
                 start=Polynomial.one(n))
 

@@ -16,8 +16,8 @@ The refined per-entry labels track near-misses and are set by the entry's
 two gaps: 0 to the upper-left parent gives ``l``, 1 gives ``al``, more ``s``;
 0 to the upper-right parent gives ``r``, 1 gives ``ar``, more ``s``.
 ``_row_labels`` labels a row pair in one pass, and every per-entry
-statistic reads those labels, including the q,t-weights ``diagonal_weight``
-and ``subdiagonal_weight`` of the evaluators' transition determinant.
+statistic reads those labels.  The q,t weights the labels carry in the
+transition determinant live beside it, in :mod:`hlgt.formulas`.
 """
 
 from __future__ import annotations
@@ -25,26 +25,11 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .polyring import Polynomial, constant, parameter
-
 LEFT = "l"
 ALMOST_LEFT = "al"
 RIGHT = "r"
 ALMOST_RIGHT = "ar"
 SPECIAL = "s"
-
-# Label weight g: the q,t factor contributed by each refined label.
-_Q = parameter("q", 0)
-_T = parameter("t", 0)
-_ONE = constant(1, 0)
-_ZERO = Polynomial.zero(0)
-_LABEL_WEIGHT = {
-    LEFT: -_Q,
-    ALMOST_LEFT: _T,
-    RIGHT: _ONE,
-    ALMOST_RIGHT: -(_Q * _T),
-    SPECIAL: _ZERO,
-}
 # Labels by gap: upper-left parent minus entry, entry minus upper-right parent.
 _LEFT_BY_GAP = {0: LEFT, 1: ALMOST_LEFT}
 _RIGHT_BY_GAP = {0: RIGHT, 1: ALMOST_RIGHT}
@@ -160,10 +145,6 @@ class GtPattern:
         pattern.rows = rows
         return pattern
 
-    @property
-    def is_strict(self) -> bool:
-        return all(is_strictly_decreasing(r) for r in self.rows)
-
     def weight(self) -> tuple[int, ...]:
         """Successive row-sum differences (m_1, ..., m_n); the x-exponent vector."""
         sums = [sum(r) for r in self.rows]
@@ -218,7 +199,7 @@ def enumerate_patterns(top: Sequence[int], strict: bool = False) -> list[GtPatte
 
 
 # ----------------------------------------------------------------------
-# refined entry labels and their weights
+# refined entry labels
 
 def _row_labels(upper: Sequence[int], lower: Sequence[int]) -> tuple[tuple[str, str], ...]:
     # (left, right) labels of every entry of lower under upper; unchecked, so (l, r) can occur.
@@ -250,38 +231,3 @@ def entry_labels(upper: Sequence[int], lower: Sequence[int], i: int) -> EntryLab
         raise ValueError(f"entry index {i} out of range for row {lower!r}")
     return EntryLabels(*_row_labels(upper, lower)[i])
 
-
-def _diagonal_weight(left: str, right: str) -> Polynomial:
-    if left == LEFT and right == RIGHT:
-        raise ArithmeticError("label (l, r): an entry equal to both parents of a strict row")
-    if left == LEFT or right == RIGHT:
-        base = _ZERO
-    else:
-        base = (_ONE - _Q) * (_ONE - _T)
-    return base + _LABEL_WEIGHT[left] + _LABEL_WEIGHT[right]
-
-
-def _subdiagonal_weight(first: tuple[str, str], second: tuple[str, str]) -> Polynomial:
-    # Right label weight of an entry times the left label weight of the next.
-    return _LABEL_WEIGHT[first[1]] * _LABEL_WEIGHT[second[0]]
-
-
-def diagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], i: int) -> Polynomial:
-    """Diagonal entry weight of lower[i] under upper, a polynomial in q and t.
-
-    Sum of the two label weights plus (1-q)(1-t) when the entry touches
-    neither parent exactly.  The (l, r) combination cannot occur under a
-    strictly decreasing upper row and is treated as fatal.
-    """
-    return _diagonal_weight(*entry_labels(upper, lower, i))
-
-
-def subdiagonal_weight(upper: tuple[int, ...], lower: tuple[int, ...], j: int) -> Polynomial:
-    """Subdiagonal weight attached to upper[j], for 1 <= j <= len(upper) - 2.
-
-    Product of the right label weight of lower[j-1] and the left label
-    weight of lower[j].
-    """
-    if not 1 <= j <= len(upper) - 2:
-        raise ValueError(f"subdiagonal index {j} out of range for row {tuple(upper)!r}")
-    return _subdiagonal_weight(entry_labels(upper, lower, j - 1), entry_labels(upper, lower, j))

@@ -3,10 +3,11 @@
 Every check is an exact polynomial equality in Z[x, q, t]; there are no
 tolerances.  A suite iterates all weakly decreasing tuples up to a given
 length and part bound and compares a pattern-statistic evaluator against
-the brute-force oracle.  ``run_suite`` refuses an empty grid (n_max < 1
-or part_max < 0) and an n_max over the oracle's n! cap before any case,
-and a grid on which the suite records no identity after its last case;
-each suite calls the oracle before any pattern sum.
+the brute-force oracle.  ``run_suite`` refuses an n_max over the
+oracle's n! cap before any case, and a grid on which the suite records
+no identity after its last case; an empty grid (n_max < 1 or
+part_max < 0) has no case, so the same rule refuses it.  Each suite
+calls the oracle before any pattern sum.
 
 The identities pattern sum = v_n(x;q) * H, with H = HL_lam(x;t) or
 s_lam(x), are checked in the quotient: ``main``, ``recursive`` and
@@ -162,10 +163,6 @@ def run_suite(suite: str, n_max: int, part_max: int) -> VerifyReport:
     """Run one named suite (or all of them) over the grid."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
-    if n_max < 1:
-        raise ValueError("--n must be at least 1")
-    if part_max < 0:
-        raise ValueError("--max-part must be nonnegative")
     oracle._check_cap(n_max)
     suites = SUITE_NAMES[:-1] if suite == "all" else (suite,)
     report = VerifyReport(suite)

@@ -6,7 +6,6 @@ from itertools import combinations, permutations
 from hlgt import (
     Polynomial,
     constant,
-    diagonal_weight,
     entry_labels,
     enumerate_patterns,
     formulas,
@@ -14,7 +13,6 @@ from hlgt import (
     oracle,
     parameter,
     permutation_sign,
-    subdiagonal_weight,
     weyl_denominator,
 )
 from hlgt.patterns import ALMOST_LEFT, LEFT, RIGHT
@@ -104,14 +102,19 @@ def laplace_det(matrix):
 
 
 def tridiagonal_matrix(alpha, mu):
-    """Explicit tridiagonal matrix whose determinant weights (alpha, mu)."""
+    """Explicit tridiagonal matrix whose determinant weights (alpha, mu).
+
+    Its entries are the label-pair weights of ``entry_labels``; the
+    determinant recurrence is never called.
+    """
     m = len(mu)
+    labels = [entry_labels(alpha, mu, k) for k in range(m)]
     rows = [[Polynomial.zero(0)] * m for _ in range(m)]
     for a in range(m):
-        rows[a][a] = diagonal_weight(alpha, mu, a)
+        rows[a][a] = formulas._diagonal_weight(*labels[a])
         if a + 1 < m:
             rows[a][a + 1] = constant(1, 0)
-            rows[a + 1][a] = subdiagonal_weight(alpha, mu, a + 1)
+            rows[a + 1][a] = formulas._subdiagonal_weight(labels[a], labels[a + 1])
     return rows
 
 
@@ -172,8 +175,8 @@ def filtered_pair_weight(upper, lower):
     if any(a.right == RIGHT and b.left == ALMOST_LEFT for a, b in zip(labels, labels[1:])):
         return Polynomial.zero(0)
     coeff = constant(1, 0)
-    for k in range(len(lower)):
-        coeff = coeff * diagonal_weight(upper, lower, k)
+    for lbl in labels:
+        coeff = coeff * formulas._diagonal_weight(*lbl)
     return coeff.substitute("q", 0).substitute("t", -1)
 
 

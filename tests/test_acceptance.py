@@ -13,12 +13,16 @@ from hlgt import formulas, oracle
 from hlgt.cli import main as cli_main
 from hlgt.polyring import Polynomial, constant, monomial, parameter
 from hlgt.patterns import (
+    ALMOST_LEFT,
+    ALMOST_RIGHT,
+    LEFT,
+    RIGHT,
+    SPECIAL,
     _interleavings,
-    diagonal_weight,
+    _row_labels,
     enumerate_patterns,
     is_strictly_decreasing,
     staircase,
-    subdiagonal_weight,
     weakly_decreasing_tuples,
 )
 from hlgt.formulas import (
@@ -155,32 +159,35 @@ def test_criterion_08_raising_closure_golden():
 
 
 def test_criterion_09_weight_tables():
-    w_rows = [
-        ((5, 2), (5,), -Q),
-        ((5, 2), (2,), ONE),
-        ((3, 2), (3,), -Q - Q * T),
-        ((3, 2), (2,), ONE + T),
-        ((5, 2), (3,), ONE - Q - T),
-        ((5, 2), (4,), ONE - Q + Q * T),
-        ((4, 2), (3,), ONE - Q),
-        ((6, 2), (4,), (ONE - Q) * (ONE - T)),
-    ]
-    for upper, lower, expected in w_rows:
-        assert diagonal_weight(upper, lower, 0) == expected, (upper, lower)
-    d_rows = [
-        ((7, 3), Polynomial.zero(0)),
-        ((7, 5), Polynomial.zero(0)),
-        ((5, 3), Polynomial.zero(0)),
-        ((5, 5), -Q),
-        ((6, 5), Q ** 2 * T),
-        ((5, 4), T),
-        ((6, 4), -Q * T ** 2),
-    ]
-    for lower, expected in d_rows:
-        assert subdiagonal_weight((9, 5, 1), lower, 1) == expected, lower
-    assert diagonal_weight((5, 3, 1), (4, 3), 0) == ONE - Q
-    assert diagonal_weight((5, 3, 1), (4, 3), 1) == -Q
-    assert subdiagonal_weight((5, 3, 1), (4, 3), 1) == Q ** 2 * T
+    # Diagonal weight by the entry's (left, right) labels.
+    w_rows = {
+        (LEFT, SPECIAL): -Q,
+        (SPECIAL, RIGHT): ONE,
+        (LEFT, ALMOST_RIGHT): -Q - Q * T,
+        (ALMOST_LEFT, RIGHT): ONE + T,
+        (SPECIAL, ALMOST_RIGHT): ONE - Q - T,
+        (ALMOST_LEFT, SPECIAL): ONE - Q + Q * T,
+        (ALMOST_LEFT, ALMOST_RIGHT): ONE - Q,
+        (SPECIAL, SPECIAL): (ONE - Q) * (ONE - T),
+    }
+    for labels, expected in w_rows.items():
+        assert formulas._diagonal_weight(*labels) == expected, labels
+    # Subdiagonal weight by (right label of an entry, left label of the next).
+    d_rows = {
+        (SPECIAL, SPECIAL): Polynomial.zero(0),
+        (SPECIAL, LEFT): Polynomial.zero(0),
+        (RIGHT, SPECIAL): Polynomial.zero(0),
+        (RIGHT, LEFT): -Q,
+        (ALMOST_RIGHT, LEFT): Q ** 2 * T,
+        (RIGHT, ALMOST_LEFT): T,
+        (ALMOST_RIGHT, ALMOST_LEFT): -Q * T ** 2,
+    }
+    for (right, left), expected in d_rows.items():
+        first, second = (SPECIAL, right), (left, SPECIAL)
+        assert formulas._subdiagonal_weight(first, second) == expected, (right, left)
+    word = _row_labels((5, 3, 1), (4, 3))
+    assert [formulas._diagonal_weight(*labels) for labels in word] == [ONE - Q, -Q]
+    assert formulas._subdiagonal_weight(*word) == Q ** 2 * T
 
 
 def test_criterion_10_structural_oracles(tmp_path):

@@ -289,11 +289,11 @@ def test_verify_rejects_negative_max_part(capsys):
     code, out, err = run(capsys, "verify", "--n", "2", "--max-part", "-1")
     assert code == 2
     assert out == ""
-    assert "--max-part must be nonnegative" in err
+    assert err == "error: suite 'all' records no identity on the grid n <= 2, parts <= -1\n"
 
 
-@pytest.mark.parametrize("argv", [("--n", "1"), ("--n", "3", "--max-part", "0")],
-                         ids=["one-part", "zero-parts"])
+@pytest.mark.parametrize("argv", [("--n", "1"), ("--n", "3", "--max-part", "0"), ("--n", "0")],
+                         ids=["one-part", "zero-parts", "empty-grid"])
 def test_verify_refuses_a_run_that_checks_nothing(capsys, argv):
     code, out, err = run(capsys, "verify", "--suite", "raising", *argv)
     assert code == 2

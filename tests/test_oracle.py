@@ -32,11 +32,10 @@ def test_weyl_denominator_two_vars():
     xs, q, t = generators(2)
     assert weyl_denominator(2, "q") == xs[0] - q * xs[1]
     assert weyl_denominator(2, "t") == xs[0] - t * xs[1]
-    assert weyl_denominator(2) == xs[0] - xs[1]
 
 
 def test_weyl_denominator_empty_product():
-    assert weyl_denominator(1) == Polynomial.one(1)
+    assert weyl_denominator(1, "t") == Polynomial.one(1)
     assert weyl_denominator(1, "q") == Polynomial.one(1)
 
 
@@ -46,17 +45,18 @@ def test_weyl_denominator_at_t_zero_is_staircase_monomial():
 
 
 def test_weyl_denominator_rejects_unknown_deform():
-    with pytest.raises(ValueError):
-        weyl_denominator(2, "u")
+    for deform in ("u", None):
+        with pytest.raises(ValueError, match="deform must be 'q' or 't'"):
+            weyl_denominator(2, deform)
 
 
 def test_weyl_denominator_rejects_negative_n_before_the_memo():
     entries = oracle._weyl_denominator.cache_info().currsize
-    for deform in (None, "q", "t"):
+    for deform in ("q", "t"):
         with pytest.raises(ValueError, match="nonnegative"):
             weyl_denominator(-1, deform)
     assert oracle._weyl_denominator.cache_info().currsize == entries
-    assert weyl_denominator(0) == Polynomial.one(0)
+    assert weyl_denominator(0, "q") == Polynomial.one(0)
 
 
 def test_schur_examples():

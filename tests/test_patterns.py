@@ -2,6 +2,8 @@ from itertools import product
 
 import pytest
 
+from hlgt import patterns, polyring
+from hlgt.formulas import _LABEL_WEIGHT, _diagonal_weight, _subdiagonal_weight
 from hlgt.polyring import Polynomial, constant, parameter
 from hlgt.patterns import (
     ALMOST_LEFT,
@@ -10,19 +12,16 @@ from hlgt.patterns import (
     RIGHT,
     SPECIAL,
     GtPattern,
-    _diagonal_weight,
     _interleavings,
     _row_labels,
     add_staircase,
     check_partition,
-    diagonal_weight,
     entry_labels,
     enumerate_patterns,
     interleaves,
     is_strictly_decreasing,
     is_weakly_decreasing,
     staircase,
-    subdiagonal_weight,
     weakly_decreasing_tuples,
 )
 
@@ -192,11 +191,6 @@ def test_leaning_counts():
     assert GtPattern([(1, 1), (1,)]).leaning_counts() == (1, 1, 0)
 
 
-def test_is_strict():
-    assert GtPattern([(3, 1, 0), (2, 0), (1,)]).is_strict
-    assert not GtPattern([(3, 1, 0), (1, 1), (1,)]).is_strict
-
-
 def test_triangle_lines():
     lines = GtPattern([(3, 1, 0), (2, 0), (1,)]).triangle_lines()
     assert lines == ["3  1  0", "  2  0", "    1"]
@@ -227,7 +221,7 @@ def test_entry_labels_validation():
 
 
 # ----------------------------------------------------------------------
-# diagonal weights, all eight label pairs
+# diagonal weights, all eight label pairs, each read off a witness row pair
 
 @pytest.mark.parametrize(
     "upper,lower,expected",
@@ -243,18 +237,18 @@ def test_entry_labels_validation():
     ],
 )
 def test_diagonal_weight_table(upper, lower, expected):
-    assert diagonal_weight(upper, lower, 0) == expected
+    left, right = entry_labels(upper, lower, 0)
+    assert _diagonal_weight(left, right) == expected
 
 
 def test_diagonal_weight_worked_rows():
-    assert diagonal_weight((5, 3, 1), (4, 3), 0) == ONE - Q
-    assert diagonal_weight((5, 3, 1), (4, 3), 1) == -Q
-    with pytest.raises(ValueError, match="violate the interleaving condition"):
-        diagonal_weight((3, 1, 0), (5, 0), 0)
+    word = _row_labels((5, 3, 1), (4, 3))
+    assert [_diagonal_weight(*labels) for labels in word] == [ONE - Q, -Q]
 
 
 # ----------------------------------------------------------------------
-# subdiagonal weights, all seven table rows
+# subdiagonal weights by (right label of an entry, left label of the next),
+# all nine table rows, each read off a witness row under (9, 5, 1)
 
 @pytest.mark.parametrize(
     "lower,expected",
@@ -271,20 +265,12 @@ def test_diagonal_weight_worked_rows():
     ],
 )
 def test_subdiagonal_weight_table(lower, expected):
-    assert subdiagonal_weight((9, 5, 1), lower, 1) == expected
+    first, second = (entry_labels((9, 5, 1), lower, k) for k in (0, 1))
+    assert _subdiagonal_weight(first, second) == expected
 
 
 def test_subdiagonal_weight_worked_rows():
-    assert subdiagonal_weight((5, 3, 1), (4, 3), 1) == Q ** 2 * T
-
-
-def test_subdiagonal_weight_bounds():
-    with pytest.raises(ValueError):
-        subdiagonal_weight((3, 1), (2,), 1)
-    with pytest.raises(ValueError):
-        subdiagonal_weight((5, 3, 1), (4, 3), 2)
-    with pytest.raises(ValueError, match="violate the interleaving condition"):
-        subdiagonal_weight((3, 1, 0), (5, 0), 1)
+    assert _subdiagonal_weight(*_row_labels((5, 3, 1), (4, 3))) == Q ** 2 * T
 
 
 def test_left_and_right_never_coincide_under_strict_rows():
@@ -312,3 +298,15 @@ def test_label_diagonal_weight_rejects_left_and_right():
     with pytest.raises(ArithmeticError):
         _diagonal_weight(LEFT, RIGHT)
     assert _diagonal_weight(LEFT, ALMOST_RIGHT) == -Q - Q * T
+
+
+# ----------------------------------------------------------------------
+# module boundary
+
+def test_patterns_holds_no_polynomial_and_every_label_has_a_weight():
+    # The q,t weights of the labels live in formulas, beside the determinant.
+    for name, value in vars(patterns).items():
+        assert value is not polyring, name
+        assert not isinstance(value, Polynomial), name
+        assert getattr(value, "__module__", None) != polyring.__name__, name
+    assert set(_LABEL_WEIGHT) == {LEFT, ALMOST_LEFT, RIGHT, ALMOST_RIGHT, SPECIAL}

@@ -146,11 +146,13 @@ def test_an_over_cap_grid_is_refused_before_any_case(monkeypatch):
 
 
 @pytest.mark.parametrize(("n_max", "part_max", "message"), [
-    (0, 2, "--n must be at least 1"),
-    (2, -1, "--max-part must be nonnegative"),
-    (-3, 1, "--n must be at least 1"),
+    (0, 2, "suite 'all' records no identity on the grid n <= 0, parts <= 2"),
+    (2, -1, "suite 'all' records no identity on the grid n <= 2, parts <= -1"),
+    (-3, 1, "suite 'all' records no identity on the grid n <= -3, parts <= 1"),
 ], ids=["no-length", "no-part", "negative-length"])
 def test_an_empty_grid_is_refused(n_max, part_max, message):
+    # The grid yields no case, so the rule for a grid with no identity refuses it.
+    assert list(grid(n_max, part_max)) == []
     with pytest.raises(ValueError, match=message):
         run_suite("all", n_max, part_max)
 
