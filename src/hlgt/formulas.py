@@ -38,11 +38,12 @@ drop |row| - |mu| from where it is made.  The edge weights:
 (-q)^left * (1-q)^special; ``stanley_sum`` 2^special, with top row lam
 itself; ``stanley_filtered_sum`` the product of the lower row's diagonal
 weights at q = 0, t = -1, or 0 if the pair fails its row-local filter.
-``hl_row_quotient`` and ``tokuyama_row_quotient`` take one step of the
-same engine under the top row with the oracle's F(mu) = inner(mu - staircase)
-and return its proven quotient by prod_{j>1} (x_1 - q x_j);
-``hl_row_recursion`` multiplies that quotient by v_n(x;q).  All three
-obey the oracle's cap.
+The quotient routes form neither F(top) nor a product: ``_one_step``
+takes one step of the same engine under one row over inner sums H(mu)
+and returns its proven quotient by prod_{j>1} (x_1 - q x_j).
+``hl_pattern_quotient`` and ``tokuyama_quotient`` take H(mu) from the
+memoized step below (``_row_quotient``); ``hl_row_quotient``,
+``tokuyama_row_quotient`` and ``hl_row_recursion`` from the oracle.
 
 The engine holds each F(row) as {x-exponents: packed int}: the q,t
 coefficient sum c q^a t^b of an x-monomial packs to
@@ -59,19 +60,10 @@ raises PatternSizeError before any product.
 The packed result has two exits.  ``unpack`` reads each value once as
 signed machine integers by a memoryview; a value beyond the proven
 q-degree raises ArithmeticError.  The pattern sums return it.
-``_Layout.quotient`` divides the packed result exactly by factors
-x_i - q x_j before anything is unpacked: Horner's rule in x_i, as in
-``Polynomial.divide_by_diff``, in which a factor q is a left shift by
-width * stride bits.  The ``*_quotient`` routes use it: the closed and
-Tokuyama sums divide by v_n(x;q) = prod_{i<j} (x_i - q x_j), a one-row
-step by prod_{j>1} (x_1 - q x_j), and what is left is HL_lam(x;t) or
-s_lam(x).  This division works on the image of the sum at T = 2**width,
-Q = 2**(width * stride).  The quotient counts only with a proof that the
-sum is the factors times it, else QuotientError.  The quotient must
-decode free of q, there must be at most q_deg factors, and every
-x-monomial's L1 norm in the product must fit a field.  Then the sum and
-the product lie in the layout's injective range, and their images are
-equal, so they are equal.
+``_Layout.quotient``, called by ``_one_step`` only, divides a packed row
+step exactly by its factors x_1 - q x_j before anything is unpacked, and
+returns the quotient only with a proof that the step is the factors
+times it, else QuotientError.  ``_row_quotient`` composes these proofs.
 """
 
 from __future__ import annotations
@@ -456,11 +448,8 @@ def _row_sums(top: tuple[int, ...], levels: list[dict],
     return below[top], layout
 
 
-def _transfer(top: tuple[int, ...], edge_weight, divide: bool = False) -> Polynomial:
-    """F(top) of the row transfer in the module docstring, one row length at a time.
-
-    With ``divide``, the proven quotient of F(top) by v_n(x;q) instead.
-    """
+def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
+    """F(top) of the row transfer in the module docstring, one row length at a time."""
     # Top down to the empty row: the rows of each length reachable through
     # nonzero weights, each mapped to its (next row, drop, weight) edges.
     levels: list[dict] = []
@@ -471,10 +460,7 @@ def _transfer(top: tuple[int, ...], edge_weight, divide: bool = False) -> Polyno
                        for row in rows})
         rows = dict.fromkeys(mu for edges in levels[-1].values() for mu, _, _ in edges)
     packed, layout = _row_sums(top, levels, {(): _ONE})
-    n = len(top)
-    if divide:
-        return layout.quotient(n, packed, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    return layout.unpack(n, packed)
+    return layout.unpack(len(top), packed)
 
 
 def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
@@ -490,18 +476,14 @@ def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
 def hl_pattern_quotient(lam: Sequence[int]) -> Polynomial:
     """HL_lam(x;t) as the exact quotient of hl_pattern_expansion(lam) by v_n(x;q).
 
-    Divides the packed sum before it is unpacked; raises QuotientError
-    unless the sum is proven to be v_n(x;q) times the returned polynomial.
-    A proven quotient is memoized per partition until ``clear_caches``.
+    Divides row by row in ``_row_quotient``; raises QuotientError unless
+    the sum is proven to be v_n(x;q) times the returned polynomial.
     """
-    return _hl_quotient(check_partition(lam))
+    return _row_quotient(add_staircase(check_partition(lam)), _strict_row_weight_sum)
 
 
-@lru_cache(maxsize=None)
-def _hl_quotient(lam: tuple[int, ...]) -> Polynomial:
-    # One proven quotient per checked partition, shared by the verify suites
-    # that each compare it with the oracle; a QuotientError is not cached.
-    return _transfer(add_staircase(lam), _row_weight_sum, divide=True)
+def _strict_row_weight_sum(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
+    return _row_weight_sum(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
 
 
 @lru_cache(maxsize=None)
@@ -514,6 +496,10 @@ def _tokuyama_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomi
     return _tokuyama_factor(left, special)
 
 
+def _strict_tokuyama_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
+    return _tokuyama_weight(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
+
+
 def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
     """Tokuyama's strict-pattern expansion of v_n(x;q) * s_lam(x).
 
@@ -524,22 +510,40 @@ def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
 
 def tokuyama_quotient(lam: Sequence[int]) -> Polynomial:
     """s_lam(x) as the exact quotient of tokuyama_sum(lam) by v_n(x;q), as in hl_pattern_quotient."""
-    return _transfer(add_staircase(check_partition(lam)), _tokuyama_weight, divide=True)
+    return _row_quotient(add_staircase(check_partition(lam)), _strict_tokuyama_weight)
 
 
-def _one_step(lam: Sequence[int], weight, inner) -> Polynomial:
-    # The proven quotient by prod_{j>1} (x_1 - q x_j) of one row step under
-    # alpha = lam + staircase, with the oracle's F(mu) = inner(mu - staircase).
-    lam = check_partition(lam)
-    n = len(lam)
-    oracle._check_cap(n)
-    alpha = add_staircase(lam)
-    rho = staircase(n)[1:]
+def _one_step(alpha: tuple[int, ...], weight, inner) -> Polynomial:
+    # The proven quotient by prod_{j>1} (x_1 - q x_j) of the row step under alpha over inner.
+    n = len(alpha)
     edges = [(mu, sum(alpha) - sum(mu), w) for mu in _interleavings(alpha)
              if (w := weight(alpha, mu))]
-    base = {mu: inner(tuple(m - r for m, r in zip(mu, rho))) for mu, _, _ in edges}
-    packed, layout = _row_sums(alpha, [{alpha: edges}], base)
+    packed, layout = _row_sums(alpha, [{alpha: edges}], {mu: inner(mu) for mu, _, _ in edges})
     return layout.quotient(n, packed, [(0, j) for j in range(1, n)])
+
+
+@lru_cache(maxsize=None)
+def _row_quotient(row: tuple[int, ...], weight) -> Polynomial:
+    """H(row) = F(row) / v_L(x;q), L = len(row), for F the strict pattern sum of weight.
+
+    v_L = prod_{j>1} (x_1 - q x_j) * v_{L-1}, so if F(mu) = v_{L-1} * H(mu)
+    for each next row mu, F(row) = v_{L-1} * S(row) with S(row) the row step
+    over H(mu); ``_one_step`` proves S(row) = prod_{j>1} (x_1 - q x_j) *
+    H(row), so F(row) = v_L * H(row), by induction from H(()) = 1.  Keyed
+    by weight too, so HL and Tokuyama rows never share an entry.
+    """
+    if not row:
+        return _ONE
+    return _one_step(row, weight, lambda mu: _row_quotient(mu, weight))
+
+
+def _oracle_step(lam: Sequence[int], weight, inner) -> Polynomial:
+    # The row step under lam + staircase, with the oracle's F(mu) = inner(mu - staircase).
+    lam = check_partition(lam)
+    oracle._check_cap(len(lam))
+    rho = staircase(len(lam))[1:]
+    return _one_step(add_staircase(lam), weight,
+                     lambda mu: inner(tuple(m - r for m, r in zip(mu, rho))))
 
 
 def hl_row_quotient(lam: Sequence[int]) -> Polynomial:
@@ -551,7 +555,7 @@ def hl_row_quotient(lam: Sequence[int]) -> Polynomial:
     oracle.  Non-strict mu feed exponent tuples with ascents straight into
     it.  Raises QuotientError as hl_pattern_quotient does.
     """
-    return _one_step(lam, _det_weight, oracle.hall_littlewood)
+    return _oracle_step(lam, _det_weight, oracle.hall_littlewood)
 
 
 def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
@@ -563,10 +567,6 @@ def hl_row_recursion(lam: Sequence[int]) -> Polynomial:
     return oracle.weyl_denominator(h.n_vars, "q") * h
 
 
-def _strict_tokuyama_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
-    return _tokuyama_weight(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
-
-
 def tokuyama_row_quotient(lam: Sequence[int]) -> Polynomial:
     """s_lam(x) from one row step over strict next rows, as in hl_row_quotient.
 
@@ -576,7 +576,7 @@ def tokuyama_row_quotient(lam: Sequence[int]) -> Polynomial:
     neither neighbour of alpha as special; non-strict mu drop out because
     their Schur factor vanishes.
     """
-    return _one_step(lam, _strict_tokuyama_weight, oracle.schur)
+    return _oracle_step(lam, _strict_tokuyama_weight, oracle.schur)
 
 
 def _stanley_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
@@ -623,9 +623,9 @@ def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:
 def clear_caches() -> None:
     """Drop every memo table of the program, so the next call starts cold.
 
-    That is the determinants, closures and Tokuyama factors here, the
-    proven quotients of ``hl_pattern_quotient``, and the
-    oracle's Weyl denominators, sign tables and Schur coefficients.
+    That is the determinants, closures, Tokuyama factors and proven row
+    quotients here, and the oracle's Weyl denominators, sign tables and
+    Schur coefficients.
     Within one process these tables are shared by every call, so one
     ``hlgt verify`` run computes each entry once; ``hlgt bench`` clears
     them before each timed call.
@@ -633,7 +633,7 @@ def clear_caches() -> None:
     raising_closure.cache_clear()
     _det_recurrence.cache_clear()
     _tokuyama_factor.cache_clear()
-    _hl_quotient.cache_clear()
+    _row_quotient.cache_clear()
     oracle._weyl_denominator.cache_clear()
     oracle._signs.cache_clear()
     oracle._schur_coefficients.cache_clear()

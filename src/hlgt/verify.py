@@ -23,9 +23,9 @@ A one-row step is divided by prod_{j>1} (x_1 - q x_j) only, since the
 oracle polynomials it sums in x_2..x_n carry no factor v_{n-1}(x;q).
 
 The suites of one run share work through the memo tables of the routes
-they call: each partition's proven closed quotient and each oracle
-input's Schur coefficients are computed once per process, however many
-identities compare them.  Input checks, the oracle's cap and a failed
+they call: each row's proven closed quotient and each oracle input's
+Schur coefficients are computed once per process, however many
+partitions and identities use them.  Input checks, the oracle's cap and a failed
 proof are never memoized.  ``formulas.clear_caches`` empties the tables.
 """
 

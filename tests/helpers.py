@@ -198,22 +198,23 @@ def reference_json(poly):
 
 
 def count_memoized_work(monkeypatch):
-    """Count the runs of the divided closed transfer and of the Schur-coefficient pass.
+    """Record the rows the closed quotient steps, and count the Schur-coefficient passes.
 
-    Both sit below their memo tables, so the counts are cache misses.
+    Both sit below their memo tables, so each recorded row and each count
+    is a cache miss.
     """
-    counts = {"closed_quotient": 0, "schur_coefficients": 0}
-    transfer, signed_reps = formulas._transfer, oracle._signed_reps
+    counts = {"closed_rows": [], "schur_coefficients": 0}
+    one_step, signed_reps = formulas._one_step, oracle._signed_reps
 
-    def spy_transfer(top, edge_weight, divide=False):
-        if divide and edge_weight is formulas._row_weight_sum:
-            counts["closed_quotient"] += 1
-        return transfer(top, edge_weight, divide)
+    def spy_one_step(alpha, weight, inner):
+        if weight is formulas._strict_row_weight_sum:
+            counts["closed_rows"].append(alpha)
+        return one_step(alpha, weight, inner)
 
     def spy_signed_reps(terms, n):
         counts["schur_coefficients"] += 1
         return signed_reps(terms, n)
 
-    monkeypatch.setattr(formulas, "_transfer", spy_transfer)
+    monkeypatch.setattr(formulas, "_one_step", spy_one_step)
     monkeypatch.setattr(oracle, "_signed_reps", spy_signed_reps)
     return counts

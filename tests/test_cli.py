@@ -4,11 +4,13 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from hlgt import cli, formulas, oracle
 from hlgt.cli import main
+from hlgt.patterns import add_staircase, weakly_decreasing_tuples
 from hlgt.polyring import Polynomial
 
 from helpers import count_memoized_work
@@ -386,11 +388,15 @@ def test_bench_rejects_garbage_oracle_cap(capsys, monkeypatch):
 
 
 def test_bench_times_no_cache_hit(capsys, monkeypatch):
-    # Four partitions, three timed calls of each route: every call misses.
+    # Four partitions, three timed calls of each route: every call misses,
+    # so each round of four closed calls steps the same 34 rows.
     calls = count_memoized_work(monkeypatch)
     code, _, _ = run(capsys, "bench", "--n", "3", "--max-part", "1", "--repeats", "3")
     assert code == 0
-    assert calls == {"closed_quotient": 12, "schur_coefficients": 12}
+    rows = calls["closed_rows"]
+    tops = [add_staircase(lam) for lam in weakly_decreasing_tuples(3, 1)]
+    assert Counter(row for row in rows if len(row) == 3) == dict.fromkeys(tops, 3)
+    assert len(rows) == 3 * 34 and calls["schur_coefficients"] == 12
 
 
 def _bench_with_quotient(tmp_path, capsys, monkeypatch, quotient):

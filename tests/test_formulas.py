@@ -1,3 +1,4 @@
+from collections import Counter
 from math import prod
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from hlgt import formulas, oracle, patterns
 from hlgt.polyring import Polynomial, constant, generators, monomial, parameter
+from hlgt.verify import grid
 from hlgt.patterns import (
     _interleavings,
     GtPattern,
@@ -331,7 +333,7 @@ def test_clear_caches_empties_every_cache():
     assert formulas._tokuyama_factor.cache_info().currsize
     # The tables one verify run shares between its suites.
     formulas.hl_pattern_quotient((2, 1, 0))
-    shared = (formulas._hl_quotient, oracle._schur_coefficients)
+    shared = (formulas._row_quotient, oracle._schur_coefficients)
     assert all(table.cache_info().currsize for table in shared)
     formulas.clear_caches()
     assert all(cache.cache_info().currsize == 0 for cache in caches)
@@ -494,23 +496,53 @@ def test_a_perturbed_engine_result_raises(route, monkeypatch):
 
 
 def test_a_failed_proof_is_never_memoized(monkeypatch):
+    # Only the top row's step is off by one; the rows below it are proven
+    # and memoized on the first call, and the top is stepped on every call
+    # until its proof holds.
     calls = count_memoized_work(monkeypatch)
     row_sums = formulas._row_sums
 
-    def perturbed(*args):
-        packed, layout = row_sums(*args)
-        packed[min(packed)] += 1
+    def perturbed(top, *args):
+        packed, layout = row_sums(top, *args)
+        if len(top) == 3:
+            packed[min(packed)] += 1
         return packed, layout
 
     monkeypatch.setattr(formulas, "_row_sums", perturbed)
     for _ in range(2):
         with pytest.raises(formulas.QuotientError):
             formulas.hl_pattern_quotient((2, 1, 0))
-    assert calls["closed_quotient"] == 2
+    steps = Counter(calls["closed_rows"])
+    assert steps[(4, 2, 0)] == 2 and set(steps.values()) == {1, 2}
     monkeypatch.setattr(formulas, "_row_sums", row_sums)
     for _ in range(2):
         assert formulas.hl_pattern_quotient((2, 1, 0)) == oracle.hall_littlewood((2, 1, 0))
-    assert calls["closed_quotient"] == 3
+    steps = Counter(calls["closed_rows"])
+    assert steps[(4, 2, 0)] == 3 and set(steps.values()) == {1, 3}
+
+
+def test_a_perturbed_inner_edge_weight_raises_until_it_is_removed(monkeypatch):
+    # One more edge weight on the length-2 rows only: the step that first
+    # sums them fails its proof, and nothing above it is memoized.
+    row_weight_sum = formulas._row_weight_sum
+
+    def perturbed(upper, lower):
+        weight = row_weight_sum(upper, lower)
+        return weight + constant(1, 0) if len(upper) == 2 else weight
+
+    monkeypatch.setattr(formulas, "_row_weight_sum", perturbed)
+    with pytest.raises(formulas.QuotientError, match=r"x1 - q\*x2 does not divide"):
+        formulas.hl_pattern_quotient((1, 0, 0))
+    monkeypatch.setattr(formulas, "_row_weight_sum", row_weight_sum)
+    assert formulas.hl_pattern_quotient((1, 0, 0)) == oracle.hall_littlewood((1, 0, 0))
+
+
+def test_both_quotient_routes_share_one_process_without_sharing_rows():
+    # The row memo is keyed by the edge weight too, so calling both routes on
+    # two grids with no clear_caches between them mixes no HL and Tokuyama rows.
+    for lam in [*grid(5, 3), *grid(6, 2)]:
+        assert formulas.hl_pattern_quotient(lam) == oracle.hall_littlewood(lam), lam
+        assert formulas.tokuyama_quotient(lam) == oracle.schur(lam), lam
 
 
 def test_a_quotient_holding_q_raises():

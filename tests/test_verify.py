@@ -179,9 +179,12 @@ def test_identities_and_verdicts_on_the_n4_grid_are_pinned():
 
 def test_one_run_shares_each_quotient_and_schur_expansion(monkeypatch):
     # main, tokuyama, stanley and monomial all compare the closed quotient,
-    # and the oracle's HL, s_lam and raised HL overlap across the suites.
-    # The one-part recursive cases add the oracle's expansion of ().
+    # whose partitions share the rows under their tops, and the oracle's
+    # HL, s_lam and raised HL overlap across the suites.  The one-part
+    # recursive cases add the oracle's expansion of ().
     calls = count_memoized_work(monkeypatch)
     report = run_suite("all", 4, 3)
     assert report.total == 681 and report.failed == 0
-    assert calls == {"closed_quotient": 69, "schur_coefficients": 153}
+    rows = calls["closed_rows"]
+    assert len(rows) == len(set(rows)) == 98
+    assert calls["schur_coefficients"] == 153
