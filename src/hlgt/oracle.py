@@ -1,8 +1,8 @@
 """Brute-force reference implementations of the symmetric polynomials.
 
-Everything here works straight from the defining formulas: antisymmetrize
-over all n! permutations and divide exactly by the Vandermonde product.
-The module exists to be obviously correct; the formula evaluators in
+Everything here works straight from the defining formulas, over all n!
+permutations of the variables, with no pattern combinatorics.  The module
+exists to be obviously correct; the formula evaluators in
 :mod:`hlgt.formulas` are checked against it.
 
 ``hall_littlewood`` computes the unnormalized polynomial
@@ -22,23 +22,37 @@ in the representatives, and the representative x^(mu + rho), rho the
 staircase, divides to a_(mu+rho) / a_rho = s_mu.  So its t-polynomial is
 the coefficient K[mu](t) of s_mu in HL_kappa = sum_mu K[mu](t) s_mu
 (Macdonald, Symmetric Functions and Hall Polynomials, III.2);
-``schur_coefficients`` returns them.  ``hall_littlewood`` is that sum, with
-each s_mu an integer bialternant: its one representative expanded over
-S_n, then the Vandermonde factors stripped one by one with exact synthetic
-division.  A nonzero remainder at any step is a fatal internal error.
-``schur`` is one such bialternant, and ``monomial_symmetric`` is the plain
-orbit sum of lam.
+``schur_coefficients`` returns them.
 
+No polynomial is divided.  HL_kappa and every s_mu are symmetric, so their
+coefficients on the dominant monomials x^nu, nu a partition, fix them.
+Those of s_mu are the Kostka numbers K_{mu,nu}, which ``_kostka`` solves
+from a_rho * s_mu = a_(mu+rho) (Macdonald I.3), read on the strictly
+decreasing exponents nu + rho:
+
+    sum over sigma in S_n of sign(sigma) * K_{mu, sort(nu + rho - sigma(rho))} = [nu == mu]
+
+where a composition with a negative part counts zero.  The identity term
+is K_{mu,nu} itself, and every other sorted key strictly dominates nu, so
+visiting nu lex-descending solves the system by substitution.  Each solve
+is checked: the Kostka numbers times the orbit sizes must add up to
+s_mu(1, ..., 1), the Weyl dimension prod_{i<j} (alpha_i - alpha_j) / (j - i)
+with alpha = mu + rho, and any other total is a fatal internal error.
+``hall_littlewood`` sums K[mu](t) * K_{mu,nu} over mu for each nu and
+writes each sum onto the distinct permutations of nu, once.  ``schur``
+writes the Kostka numbers of lam that way, and ``monomial_symmetric``
+writes lam with its stabilizer order as multiplicity.
+
+Two tables depend on n alone.  ``_signs(n)`` maps every permutation of
+range(n) to its sign, in ``itertools.permutations`` order, and signs each
+sort of the representative pass; ``_shifts(n)`` holds the pairs
+(rho - sigma(rho), sign(sigma)) of the Kostka solve, identity excluded.
 The signed-representative pass behind ``schur_coefficients`` shifts each
 term of the memoized v_n(x;t) = prod_{i<j}(x_i - t x_j) by kappa, with no
-polynomial product, and reads the sign of each sort from one table,
-``_signs(n)``: every permutation of range(n) mapped to its sign, in
-``itertools.permutations`` order.  The bialternants weight their orbit
-sums with the values of the same table.  The pass is memoized per input
-tuple, so one process runs it once per kappa; ``formulas.clear_caches``
-empties that memo and the sign table.  The part check and the cap run on
-every call, outside the memo, and ``schur_coefficients`` returns a fresh
-dict each time.
+polynomial product.  The pass is memoized per input tuple, so one process
+runs it once per kappa; ``formulas.clear_caches`` empties that memo and
+both tables.  The part check and the cap run on every call, outside the
+memo, and ``schur_coefficients`` returns a fresh dict each time.
 
 The n! enumeration is capped (default 6 variables); set the environment
 variable GT_ORACLE_NMAX to raise or lower the cap.
@@ -48,13 +62,14 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import chain, permutations, repeat
+from collections import Counter
+from itertools import permutations
 from math import factorial, prod
-from operator import add, mul, sub
-from typing import Collection, Mapping, Sequence
+from operator import add, sub
+from typing import Mapping, Sequence
 
 from .polyring import Monomial, Polynomial, generators, permutation_sign
-from .patterns import check_partition
+from .patterns import check_partition, weakly_decreasing_tuples
 
 DEFAULT_MAX_VARS = 6
 _ENV_CAP = "GT_ORACLE_NMAX"
@@ -106,19 +121,13 @@ def _signs(n: int) -> dict[tuple[int, ...], int]:
     return {p: permutation_sign(p) for p in permutations(range(n))}
 
 
-def _orbit_sum(reps: Mapping[Monomial, int], n: int, weights: Collection[int]) -> Polynomial:
-    """sum over sigma in S_n of weights[sigma] * sigma(term), over the terms of reps.
-
-    ``weights`` holds one weight per permutation, in the order of
-    ``itertools.permutations(range(n))``.
-    """
-    # permutations(xs) yields (xs[p[0]], ..., xs[p[n-1]]): the image of the
-    # term under the inverse of p, whose sign is p's.  The (image, weight)
-    # pairs are built by C iterators, not a generator, on this hot path.
-    return Polynomial._collect(n, chain.from_iterable(
-        zip(map(add, permutations(mono[:n]), repeat(mono[n:])),
-            map(mul, weights, repeat(coeff)))
-        for mono, coeff in reps.items()))
+@lru_cache(maxsize=None)
+def _shifts(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # (rho - sigma(rho), sign(sigma)) for every sigma in _signs(n) but the
+    # identity: sigma(rho)_i = rho_sigma(i), so the shift is sigma(i) - i.
+    identity = tuple(range(n))
+    return tuple((tuple(map(sub, p, identity)), sign)
+                 for p, sign in _signs(n).items() if p != identity)
 
 
 def _signed_reps(terms: Mapping[Monomial, int], n: int) -> dict[Monomial, int]:
@@ -135,28 +144,68 @@ def _signed_reps(terms: Mapping[Monomial, int], n: int) -> dict[Monomial, int]:
     return Polynomial._collect(n, pairs())._terms
 
 
-def _divide_vandermonde(p: Polynomial) -> Polynomial:
-    # Factor order fixed (i, j) lexicographic; the quotient is order
-    # independent but a fixed order keeps failures reproducible.
-    n = p.n_vars
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p.divide_by_diff(i, j)
-    return p
+def _stabilizer_order(nu: tuple[int, ...]) -> int:
+    # The number of permutations of range(len(nu)) that fix nu.
+    return prod(map(factorial, Counter(nu).values()))
 
 
-def _bialternant(alpha: tuple[int, ...]) -> Polynomial:
-    # a_alpha / a_rho for strictly decreasing alpha: the Schur polynomial
-    # of alpha - rho, through the exact Vandermonde division.
-    n = len(alpha)
-    return _divide_vandermonde(_orbit_sum({alpha + (0, 0): 1}, n, _signs(n).values()))
+def _kostka(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{nu: K_{mu,nu}}, the nonzero Kostka numbers of a partition: s_mu = sum_nu K_{mu,nu} m_nu.
+
+    nu runs lex-descending over the partitions of |mu| with len(mu) parts
+    and nu_1 <= mu_1 (s_mu has x_1-degree mu_1), from mu down, since K_{mu,nu}
+    vanishes unless mu dominates nu.  Raises ArithmeticError unless the
+    numbers add up to the Weyl dimension s_mu(1, ..., 1).
+    """
+    n = len(mu)
+    size = sum(mu)
+    kostka: dict[tuple[int, ...], int] = {}
+    get = kostka.get
+    for nu in weakly_decreasing_tuples(n, mu[0] if mu else 0):
+        if nu > mu or sum(nu) != size:
+            continue
+        # A sigma with sigma(i) < i at one of nu's trailing zeros gives a
+        # negative part, so only the sigma fixing all of them count: those
+        # of _shifts(m) on nu's m nonzero parts, with the zeros kept.
+        m = n - nu.count(0)
+        head, zeros = nu[:m], nu[m:]
+        k = int(nu == mu)
+        for shift, sign in _shifts(m):
+            beta = tuple(map(add, head, shift))
+            if min(beta) >= 0:
+                k -= sign * get(tuple(sorted(beta, reverse=True)) + zeros, 0)
+        if k:
+            kostka[nu] = k
+    alpha = tuple(map(add, mu, range(n - 1, -1, -1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weyl = prod(alpha[i] - alpha[j] for i, j in pairs) // prod(j - i for i, j in pairs)
+    total = sum(k * (factorial(n) // _stabilizer_order(nu)) for nu, k in kostka.items())
+    if total != weyl:
+        raise ArithmeticError(
+            f"the Kostka numbers of {mu} add up to {total} at x = (1, ..., 1), "
+            f"not to the Weyl dimension {weyl}"
+        )
+    return kostka
+
+
+def _symmetric(n: int,
+               dominant: Mapping[tuple[int, ...], Mapping[tuple[int, int], int]]) -> Polynomial:
+    """The symmetric polynomial whose coefficient on x^nu is dominant[nu], for each partition nu.
+
+    Each coefficient is a q,t polynomial as {(q, t): c}; zero c are
+    dropped.  It is written onto every distinct permutation of nu.
+    """
+    return Polynomial._raw(n, {beta + qt: c
+                               for nu, coeff in dominant.items()
+                               for beta in set(permutations(nu))
+                               for qt, c in coeff.items() if c})
 
 
 def schur(lam: Sequence[int]) -> Polynomial:
-    """Schur polynomial via the bialternant: antisymmetrize x^(lam + staircase), divide by the Vandermonde."""
+    """Schur polynomial of a partition: its Kostka numbers, each on the orbit of its exponent."""
     lam = check_partition(lam)
     _check_cap(len(lam))
-    return _bialternant(tuple(map(add, lam, range(len(lam) - 1, -1, -1))))
+    return _symmetric(len(lam), {nu: {(0, 0): k} for nu, k in _kostka(lam).items()})
 
 
 def schur_coefficients(kappa: Sequence[int]) -> dict[tuple[int, ...], Polynomial]:
@@ -196,16 +245,14 @@ def hall_littlewood(kappa: Sequence[int]) -> Polynomial:
     whatever the defining sum gives.
     """
     kappa = tuple(kappa)
-    coefficients = schur_coefficients(kappa)
-    n = len(kappa)
-    rho = range(n - 1, -1, -1)
-    # Each s_mu is free of q and t, so K[mu](t) * s_mu puts K's (q, t)
-    # exponents on s_mu's x-exponents.
-    return Polynomial._collect(n, (
-        (mono[:n] + qt, c * d)
-        for mu, coeff in coefficients.items()
-        for mono, d in _bialternant(tuple(map(add, mu, rho)))._terms.items()
-        for qt, c in coeff._terms.items()))
+    # The coefficient on x^nu: sum over mu of K[mu](t) * K_{mu,nu}.
+    dominant: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for mu, coeff in schur_coefficients(kappa).items():
+        for nu, k in _kostka(mu).items():
+            acc = dominant.setdefault(nu, {})
+            for qt, c in coeff._terms.items():
+                acc[qt] = acc.get(qt, 0) + k * c
+    return _symmetric(len(kappa), dominant)
 
 
 def monomial_symmetric(lam: Sequence[int]) -> Polynomial:
@@ -213,4 +260,4 @@ def monomial_symmetric(lam: Sequence[int]) -> Polynomial:
     lam = check_partition(lam)
     n = len(lam)
     _check_cap(n)
-    return _orbit_sum({lam + (0, 0): 1}, n, [1] * factorial(n))
+    return _symmetric(n, {lam: {(0, 0): _stabilizer_order(lam)}})

@@ -1,4 +1,4 @@
-"""Shared test utilities: independent determinant, pattern-sum, alternant and JSON oracles, variable permutations, tuple grids and a memo spy."""
+"""Shared test utilities: independent determinant, pattern-sum, alternant, Vandermonde-division and JSON oracles, variable permutations, tuple grids and a memo spy."""
 
 import json
 from itertools import combinations, permutations
@@ -43,9 +43,36 @@ def x_coefficient(p, x_exps):
     return Polynomial(0, {mono[n:]: c for mono, c in p.terms() if mono[:n] == tuple(x_exps)})
 
 
+def orbit_sum(reps, n, weights):
+    """sum over sigma in S_n of weights[sigma] * sigma(term), over the terms of reps.
+
+    ``weights`` holds one weight per permutation, in the order of
+    ``itertools.permutations(range(n))``.
+    """
+    # permutations(xs) yields (xs[p[0]], ..., xs[p[n-1]]): the image of the
+    # term under the inverse of p, whose sign is p's.
+    return Polynomial._collect(n, (
+        (image + mono[n:], weight * coeff)
+        for mono, coeff in reps.items()
+        for image, weight in zip(permutations(mono[:n]), weights)))
+
+
+def divide_vandermonde(p):
+    """p divided exactly by prod_{i<j} (x_i - x_j), one factor at a time.
+
+    The factors go in (i, j) lexicographic order; a nonzero remainder at
+    any step raises ArithmeticError.
+    """
+    n = p.n_vars
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = p.divide_by_diff(i, j)
+    return p
+
+
 def orbit_alternant(terms, n):
     """sum over sigma in S_n of sign(sigma) * sigma(terms), through the oracle's orbit representatives."""
-    return oracle._orbit_sum(oracle._signed_reps(terms, n), n, oracle._signs(n).values())
+    return orbit_sum(oracle._signed_reps(terms, n), n, oracle._signs(n).values())
 
 
 def product_schur_coefficients(kappa):

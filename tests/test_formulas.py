@@ -330,6 +330,7 @@ def test_clear_caches_empties_every_cache():
     assert caches and any(cache.cache_info().currsize for cache in caches)
     assert oracle._weyl_denominator.cache_info().currsize
     assert oracle._signs.cache_info().currsize
+    assert oracle._shifts.cache_info().currsize
     assert formulas._tokuyama_factor.cache_info().currsize
     # The tables one verify run shares between its suites.
     formulas.hl_pattern_quotient((2, 1, 0))

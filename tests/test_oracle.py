@@ -1,6 +1,6 @@
 from collections import Counter
 from itertools import accumulate, permutations
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -20,9 +20,11 @@ from hlgt.verify import grid
 
 from helpers import (
     coeff_sum,
+    divide_vandermonde,
     literal_alternant,
     literal_numerator,
     orbit_alternant,
+    orbit_sum,
     permuted,
     product_schur_coefficients,
 )
@@ -176,7 +178,31 @@ LITERAL_CASES = [
 @pytest.mark.parametrize("kappa", LITERAL_CASES, ids=str)
 def test_hall_littlewood_matches_literal_definition(kappa):
     # n! permuted copies added with their signs, then the Vandermonde division
-    assert hall_littlewood(kappa) == oracle._divide_vandermonde(literal_numerator(kappa))
+    assert hall_littlewood(kappa) == divide_vandermonde(literal_numerator(kappa))
+
+
+def _literal_bialternant(lam):
+    # a_(lam + rho) over all n! signed images, divided by the Vandermonde factor by factor
+    n = len(lam)
+    alpha = tuple(p + r for p, r in zip(lam, staircase(n)))
+    return divide_vandermonde(orbit_sum({alpha + (0, 0): 1}, n, oracle._signs(n).values()))
+
+
+@pytest.mark.parametrize("lam", [*grid(5, 3), *grid(6, 2)], ids=str)
+def test_schur_matches_the_literal_bialternant(lam):
+    assert schur(lam) == _literal_bialternant(lam)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1, 0, 0, 0, 0), (2, 2, 1, 1, 1, 0, 0)], ids=str)
+def test_schur_matches_the_literal_bialternant_past_the_default_cap(lam, monkeypatch):
+    monkeypatch.setenv("GT_ORACLE_NMAX", "7")
+    assert schur(lam) == _literal_bialternant(lam)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_monomial_symmetric_is_the_literal_orbit_sum(n):
+    for lam in weakly_decreasing_tuples(n, 3):
+        assert monomial_symmetric(lam) == orbit_sum({lam + (0, 0): 1}, n, [1] * factorial(n))
 
 
 def _t_factorial(m):
@@ -252,17 +278,22 @@ def test_sign_table_holds_every_permutation_sign():
         assert all(sign == permutation_sign(p) for p, sign in table.items())
 
 
-def test_every_bialternant_is_divided_exactly(monkeypatch):
-    # one stray term in any s_mu's alternant must make the division fatal
-    orbit_sum = oracle._orbit_sum
+def test_every_kostka_solve_is_checked(monkeypatch):
+    # one flipped sign in the shift table must make the Weyl-dimension check fatal
+    shifts = oracle._shifts
 
-    def perturbed(reps, n, weights):
-        return orbit_sum(reps, n, weights) + monomial(1, (1,) + (0,) * (n - 1))
+    def perturbed(n):
+        table = shifts(n)
+        return ((table[0][0], -table[0][1]), *table[1:]) if table else table
 
-    monkeypatch.setattr(oracle, "_orbit_sum", perturbed)
-    for kappa in [(1, 0), (2, 1, 0), (0, 1, 1)]:
-        with pytest.raises(ArithmeticError, match="antisymmetry"):
-            hall_littlewood(kappa)
+    monkeypatch.setattr(oracle, "_shifts", perturbed)
+    cases = {schur: [(2, 0), (2, 1, 0)],
+             hall_littlewood: [(2, 0), (2, 1, 0), (0, 2, 1)],
+             formulas.hl_row_quotient: [(1, 1, 0), (2, 1, 0)]}
+    for route, lams in cases.items():
+        for lam in lams:
+            with pytest.raises(ArithmeticError, match="Weyl dimension"):
+                route(lam)
 
 
 def test_oracle_cap(monkeypatch):
