@@ -3,10 +3,10 @@
 Two independent evaluation routes for the same polynomials: a brute-force
 oracle and pattern-statistic expansions built from tridiagonal transition
 determinants and raising-operator closures.  The oracle collects the
-alternant of x^kappa * prod_{i<j}(x_i - t x_j) on its orbit
-representatives; the one on x^(mu + rho) carries the Schur coefficient
-K[mu](t).  It returns sum_mu K[mu](t) * s_mu, each s_mu from its Kostka
-numbers, solved from a_rho * s_mu = a_(mu+rho) with no division.  The
+alternant of x^kappa * prod_{i<j}(x_i - t x_j) in one pass on its orbit
+representatives (the one on x^(mu + rho) carries the Schur coefficient
+K[mu](t)), and one triangular solve of a_rho * HL = alternant, with no
+division, gives HL; s_lam solves the one term a_(lam+rho).  The
 verification suites check that both routes agree in x, q and t, with the
 classical specializations (Schur at t = 0, monomial orbit sums at t = 1,
 Schur q-polynomials at t = -1, Tokuyama's formula).  Every identity with the

@@ -624,8 +624,8 @@ def clear_caches() -> None:
     """Drop every memo table of the program, so the next call starts cold.
 
     That is the determinants, closures, Tokuyama factors and proven row
-    quotients here, and the oracle's Weyl denominators, sign tables,
-    Kostka shift tables and Schur coefficients.
+    quotients here, and the oracle's Weyl denominators, sign and shift
+    tables, and alternant passes (its Schur coefficients).
     Within one process these tables are shared by every call, so one
     ``hlgt verify`` run computes each entry once; ``hlgt bench`` clears
     them before each timed call.

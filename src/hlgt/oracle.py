@@ -13,46 +13,37 @@ No stabilizing prefactor is applied, so hall_littlewood((0, 0)) is 1 + t,
 and specializing t to 0 / 1 / -1 yields the Schur polynomial, the
 monomial orbit sum, and the Schur q-polynomial respectively.
 
-Its numerator, the alternant of x^kappa * prod_{i<j}(x_i - t x_j), is
-collected on signed orbit representatives.  A term whose x-exponents
-repeat has a signed orbit sum of zero and is dropped; every other term is
-sorted into decreasing x-exponents and its coefficient, times the sign of
-the sort, is collected on that representative.  The alternant is Z[t]-linear
-in the representatives, and the representative x^(mu + rho), rho the
-staircase, divides to a_(mu+rho) / a_rho = s_mu.  So its t-polynomial is
-the coefficient K[mu](t) of s_mu in HL_kappa = sum_mu K[mu](t) s_mu
-(Macdonald, Symmetric Functions and Hall Polynomials, III.2);
-``schur_coefficients`` returns them.
+Each polynomial is the symmetric f with a_rho * f equal to an alternant,
+a_alpha the antisymmetrization of x^alpha and rho the staircase (Macdonald,
+Symmetric Functions and Hall Polynomials, I.3): one alternant pass and one
+solve.  The pass, ``_alternant``, drops each term whose x-exponents repeat
+(its signed orbit sum is zero), sorts every other into decreasing
+exponents mu + rho and adds its coefficient, times the sign of the sort,
+to A[mu], so the alternant is sum_mu A[mu] * a_(mu+rho).  On the numerator
+x^kappa * v_n(x;t), v_n(x;t) = prod_{i<j}(x_i - t x_j), A[mu] is the
+coefficient K[mu](t) of s_mu = a_(mu+rho) / a_rho in HL_kappa =
+sum_mu K[mu](t) s_mu (Macdonald III.2), which ``schur_coefficients``
+returns; the pass shifts each term of the memoized v_n(x;t) by kappa and
+is memoized per tuple.  ``schur`` needs no pass: its alternant is {lam: 1}.
 
-No polynomial is divided.  HL_kappa and every s_mu are symmetric, so their
-coefficients on the dominant monomials x^nu, nu a partition, fix them.
-Those of s_mu are the Kostka numbers K_{mu,nu}, which ``_kostka`` solves
-from a_rho * s_mu = a_(mu+rho) (Macdonald I.3), read on the strictly
-decreasing exponents nu + rho:
+The solve, ``_solve``, divides nothing.  f is fixed by its coefficients
+f[nu] on the dominant monomials x^nu, nu a partition, and a_rho * f =
+alternant, read on the strictly decreasing exponents nu + rho, is
 
-    sum over sigma in S_n of sign(sigma) * K_{mu, sort(nu + rho - sigma(rho))} = [nu == mu]
+    sum over sigma in S_n of sign(sigma) * f[sort(nu + rho - sigma(rho))] = A[nu]
 
 where a composition with a negative part counts zero.  The identity term
-is K_{mu,nu} itself, and every other sorted key strictly dominates nu, so
-visiting nu lex-descending solves the system by substitution.  Each solve
-is checked: the Kostka numbers times the orbit sizes must add up to
-s_mu(1, ..., 1), the Weyl dimension prod_{i<j} (alpha_i - alpha_j) / (j - i)
-with alpha = mu + rho, and any other total is a fatal internal error.
-``hall_littlewood`` sums K[mu](t) * K_{mu,nu} over mu for each nu and
-writes each sum onto the distinct permutations of nu, once.  ``schur``
-writes the Kostka numbers of lam that way, and ``monomial_symmetric``
-writes lam with its stabilizer order as multiplicity.
+is f[nu], and every other sorted key strictly dominates nu, so visiting nu
+lex-descending solves for one q,t polynomial f[nu] at a time.  Each solve
+is checked at x = (1, ..., 1), as a q,t polynomial: f[nu] times the orbit
+size of nu, summed over nu, must equal A[mu] times the Weyl dimension
+s_mu(1, ..., 1), summed over mu, or the solve is a fatal internal error.
+Each f[nu] is then written onto the distinct permutations of nu, once.
 
-Two tables depend on n alone.  ``_signs(n)`` maps every permutation of
-range(n) to its sign, in ``itertools.permutations`` order, and signs each
-sort of the representative pass; ``_shifts(n)`` holds the pairs
-(rho - sigma(rho), sign(sigma)) of the Kostka solve, identity excluded.
-The signed-representative pass behind ``schur_coefficients`` shifts each
-term of the memoized v_n(x;t) = prod_{i<j}(x_i - t x_j) by kappa, with no
-polynomial product.  The pass is memoized per input tuple, so one process
-runs it once per kappa; ``formulas.clear_caches`` empties that memo and
-both tables.  The part check and the cap run on every call, outside the
-memo, and ``schur_coefficients`` returns a fresh dict each time.
+``formulas.clear_caches`` empties the memo of the pass and the sign and
+shift tables, ``_signs`` and ``_shifts``.  ``_checked`` runs the part check
+and the cap on every call of ``hall_littlewood`` and
+``schur_coefficients``, outside the memo.
 
 The n! enumeration is capped (default 6 variables); set the environment
 variable GT_ORACLE_NMAX to raise or lower the cap.
@@ -63,7 +54,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, prod
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -73,6 +64,9 @@ from .patterns import check_partition, weakly_decreasing_tuples
 
 DEFAULT_MAX_VARS = 6
 _ENV_CAP = "GT_ORACLE_NMAX"
+
+# {partition: its q,t coefficient as {(q, t): c}}, nonzero c only.
+_ByPartition = Mapping[tuple[int, ...], Mapping[tuple[int, int], int]]
 
 
 class OracleCapError(ValueError):
@@ -96,6 +90,15 @@ def _check_cap(n: int) -> None:
             f"{n} variables exceeds the n! safety cap ({cap}); "
             f"set {_ENV_CAP} to override"
         )
+
+
+def _checked(kappa: Sequence[int]) -> tuple[int, ...]:
+    """kappa as a tuple, once its parts are nonnegative integers and its length is within the cap."""
+    kappa = tuple(kappa)
+    if any(not isinstance(p, int) or p < 0 for p in kappa):
+        raise ValueError(f"parts must be nonnegative integers: {kappa!r}")
+    _check_cap(len(kappa))
+    return kappa
 
 
 def weyl_denominator(n: int, deform: str) -> Polynomial:
@@ -130,18 +133,20 @@ def _shifts(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
                  for p, sign in _signs(n).items() if p != identity)
 
 
-def _signed_reps(terms: Mapping[Monomial, int], n: int) -> dict[Monomial, int]:
-    """The alternant of terms as {decreasing x-exponents + (q, t): coefficient}."""
+def _alternant(terms: Mapping[Monomial, int], kappa: tuple[int, ...]) -> _ByPartition:
+    """The alternant of x^kappa * terms as {mu: {(q, t): c}}, the coefficients of the a_(mu+rho)."""
+    n = len(kappa)
     sign = _signs(n)
-
-    def pairs():
-        for mono, coeff in terms.items():
-            xs = mono[:n]
-            if len(set(xs)) == n:  # else a transposition fixes it and flips its sign
-                order = tuple(sorted(range(n), key=xs.__getitem__, reverse=True))
-                yield tuple(map(xs.__getitem__, order)) + mono[n:], sign[order] * coeff
-
-    return Polynomial._collect(n, pairs())._terms
+    rho = range(n - 1, -1, -1)
+    out: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for mono, c in terms.items():
+        xs = tuple(map(add, mono, kappa))
+        if len(set(xs)) == n:  # else a transposition fixes it and flips its sign
+            order = tuple(sorted(range(n), key=xs.__getitem__, reverse=True))
+            coeff = out.setdefault(tuple(map(sub, map(xs.__getitem__, order), rho)), {})
+            coeff[mono[n:]] = coeff.get(mono[n:], 0) + sign[order] * c
+    return {mu: nonzero for mu, coeff in out.items()
+            if (nonzero := {qt: c for qt, c in coeff.items() if c})}
 
 
 def _stabilizer_order(nu: tuple[int, ...]) -> int:
@@ -149,63 +154,69 @@ def _stabilizer_order(nu: tuple[int, ...]) -> int:
     return prod(map(factorial, Counter(nu).values()))
 
 
-def _kostka(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """{nu: K_{mu,nu}}, the nonzero Kostka numbers of a partition: s_mu = sum_nu K_{mu,nu} m_nu.
+def _weyl_dimension(mu: tuple[int, ...]) -> int:
+    # s_mu(1, ..., 1) = prod_{i<j} (alpha_i - alpha_j) / (j - i), alpha = mu + rho.
+    pairs = list(combinations(range(len(mu)), 2))
+    return prod(mu[i] - mu[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
 
-    nu runs lex-descending over the partitions of |mu| with len(mu) parts
-    and nu_1 <= mu_1 (s_mu has x_1-degree mu_1), from mu down, since K_{mu,nu}
-    vanishes unless mu dominates nu.  Raises ArithmeticError unless the
-    numbers add up to the Weyl dimension s_mu(1, ..., 1).
+
+def _at_ones(coefficients: _ByPartition, weight) -> Polynomial:
+    # sum over the partitions p of weight(p) * coefficients[p], a q,t polynomial.
+    return Polynomial._collect(0, ((qt, w * c) for p, coeff in coefficients.items()
+                                   for w in (weight(p),) for qt, c in coeff.items()))
+
+
+def _solve(n: int, alternant: _ByPartition) -> _ByPartition:
+    """The symmetric f with a_rho * f = sum_mu alternant[mu] * a_(mu+rho), as {nu: f[nu]}.
+
+    Every mu has one size.  f[nu] vanishes unless some mu dominates nu, so
+    nu runs over the partitions of that size from the lex-largest mu down,
+    with nu_1 at most that mu's first part.  Raises ArithmeticError unless
+    f(1, ..., 1) is the alternant's sum of Weyl dimensions.
     """
-    n = len(mu)
-    size = sum(mu)
-    kostka: dict[tuple[int, ...], int] = {}
-    get = kostka.get
-    for nu in weakly_decreasing_tuples(n, mu[0] if mu else 0):
-        if nu > mu or sum(nu) != size:
+    f: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    get = f.get
+    top = max(alternant, default=(0,) * n)
+    for nu in weakly_decreasing_tuples(n, max(top, default=0)):
+        if nu > top or sum(nu) != sum(top):
             continue
         # A sigma with sigma(i) < i at one of nu's trailing zeros gives a
         # negative part, so only the sigma fixing all of them count: those
         # of _shifts(m) on nu's m nonzero parts, with the zeros kept.
         m = n - nu.count(0)
         head, zeros = nu[:m], nu[m:]
-        k = int(nu == mu)
+        acc = dict(alternant.get(nu, ()))
         for shift, sign in _shifts(m):
             beta = tuple(map(add, head, shift))
-            if min(beta) >= 0:
-                k -= sign * get(tuple(sorted(beta, reverse=True)) + zeros, 0)
-        if k:
-            kostka[nu] = k
-    alpha = tuple(map(add, mu, range(n - 1, -1, -1)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    weyl = prod(alpha[i] - alpha[j] for i, j in pairs) // prod(j - i for i, j in pairs)
-    total = sum(k * (factorial(n) // _stabilizer_order(nu)) for nu, k in kostka.items())
+            if min(beta) >= 0 and (coeff := get(tuple(sorted(beta, reverse=True)) + zeros)):
+                for qt, c in coeff.items():
+                    acc[qt] = acc.get(qt, 0) - sign * c
+        if nonzero := {qt: c for qt, c in acc.items() if c}:
+            f[nu] = nonzero
+    total = _at_ones(f, lambda nu: factorial(n) // _stabilizer_order(nu))
+    weyl = _at_ones(alternant, _weyl_dimension)
     if total != weyl:
         raise ArithmeticError(
-            f"the Kostka numbers of {mu} add up to {total} at x = (1, ..., 1), "
-            f"not to the Weyl dimension {weyl}"
+            f"the solve for {dict(alternant)} adds up to {total} at x = (1, ..., 1), "
+            f"not to the sum of Weyl dimensions {weyl}"
         )
-    return kostka
+    return f
 
 
-def _symmetric(n: int,
-               dominant: Mapping[tuple[int, ...], Mapping[tuple[int, int], int]]) -> Polynomial:
-    """The symmetric polynomial whose coefficient on x^nu is dominant[nu], for each partition nu.
-
-    Each coefficient is a q,t polynomial as {(q, t): c}; zero c are
-    dropped.  It is written onto every distinct permutation of nu.
-    """
+def _symmetric(n: int, dominant: _ByPartition) -> Polynomial:
+    """The symmetric polynomial with q,t coefficient dominant[nu] on each permutation of each nu."""
     return Polynomial._raw(n, {beta + qt: c
                                for nu, coeff in dominant.items()
                                for beta in set(permutations(nu))
-                               for qt, c in coeff.items() if c})
+                               for qt, c in coeff.items()})
 
 
 def schur(lam: Sequence[int]) -> Polynomial:
-    """Schur polynomial of a partition: its Kostka numbers, each on the orbit of its exponent."""
+    """Schur polynomial of a partition: the solve of its one alternant a_(lam+rho)."""
     lam = check_partition(lam)
-    _check_cap(len(lam))
-    return _symmetric(len(lam), {nu: {(0, 0): k} for nu, k in _kostka(lam).items()})
+    n = len(lam)
+    _check_cap(n)
+    return _symmetric(n, _solve(n, {lam: {(0, 0): 1}}))
 
 
 def schur_coefficients(kappa: Sequence[int]) -> dict[tuple[int, ...], Polynomial]:
@@ -215,26 +226,15 @@ def schur_coefficients(kappa: Sequence[int]) -> dict[tuple[int, ...], Polynomial
     in reverse-lexicographic order and carry nonzero coefficients only.
     ``kappa`` is any nonnegative exponent tuple, as for ``hall_littlewood``.
     """
-    kappa = tuple(kappa)
-    if any(not isinstance(p, int) or p < 0 for p in kappa):
-        raise ValueError(f"parts must be nonnegative integers: {kappa!r}")
-    _check_cap(len(kappa))
-    return dict(_schur_coefficients(kappa))
+    return dict(_schur_coefficients(_checked(kappa)))
 
 
 @lru_cache(maxsize=None)
 def _schur_coefficients(kappa: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Polynomial], ...]:
     # schur_coefficients of a checked tuple, as (mu, K[mu]) pairs.
     n = len(kappa)
-    rho = range(n - 1, -1, -1)
-    # x^kappa * v_n(x;t): the terms of v_n(x;t), each shifted by kappa.
-    shift = kappa + (0, 0)
-    base = {tuple(map(add, mono, shift)): c
-            for mono, c in _weyl_denominator(n, "t")._terms.items()}
-    grouped: dict[tuple[int, ...], dict[Monomial, int]] = {}
-    for mono, coeff in _signed_reps(base, n).items():
-        grouped.setdefault(tuple(map(sub, mono[:n], rho)), {})[mono[n:]] = coeff
-    return tuple((mu, Polynomial._raw(0, grouped[mu])) for mu in sorted(grouped, reverse=True))
+    alternant = _alternant(_weyl_denominator(n, "t")._terms, kappa)
+    return tuple((mu, Polynomial._raw(0, alternant[mu])) for mu in sorted(alternant, reverse=True))
 
 
 def hall_littlewood(kappa: Sequence[int]) -> Polynomial:
@@ -244,15 +244,9 @@ def hall_littlewood(kappa: Sequence[int]) -> Polynomial:
     inputs (the row recursion produces them) and simply antisymmetrize to
     whatever the defining sum gives.
     """
-    kappa = tuple(kappa)
-    # The coefficient on x^nu: sum over mu of K[mu](t) * K_{mu,nu}.
-    dominant: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for mu, coeff in schur_coefficients(kappa).items():
-        for nu, k in _kostka(mu).items():
-            acc = dominant.setdefault(nu, {})
-            for qt, c in coeff._terms.items():
-                acc[qt] = acc.get(qt, 0) + k * c
-    return _symmetric(len(kappa), dominant)
+    kappa = _checked(kappa)
+    n = len(kappa)
+    return _symmetric(n, _solve(n, {mu: k._terms for mu, k in _schur_coefficients(kappa)}))
 
 
 def monomial_symmetric(lam: Sequence[int]) -> Polynomial:

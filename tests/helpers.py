@@ -13,6 +13,7 @@ from hlgt import (
     oracle,
     parameter,
     permutation_sign,
+    staircase,
     weyl_denominator,
 )
 from hlgt.patterns import ALMOST_LEFT, LEFT, RIGHT
@@ -71,8 +72,16 @@ def divide_vandermonde(p):
 
 
 def orbit_alternant(terms, n):
-    """sum over sigma in S_n of sign(sigma) * sigma(terms), through the oracle's orbit representatives."""
-    return orbit_sum(oracle._signed_reps(terms, n), n, oracle._signs(n).values())
+    """sum over sigma in S_n of sign(sigma) * sigma(terms), through the oracle's alternant pass.
+
+    The pass gives the coefficient of each a_(mu + rho); its representative
+    x^(mu + rho) is expanded over S_n with the signs.
+    """
+    rho = staircase(n)
+    reps = {tuple(m + r for m, r in zip(mu, rho)) + qt: c
+            for mu, coeff in oracle._alternant(terms, (0,) * n).items()
+            for qt, c in coeff.items()}
+    return orbit_sum(reps, n, oracle._signs(n).values())
 
 
 def product_schur_coefficients(kappa):
@@ -225,23 +234,23 @@ def reference_json(poly):
 
 
 def count_memoized_work(monkeypatch):
-    """Record the rows the closed quotient steps, and count the Schur-coefficient passes.
+    """Record the rows the closed quotient steps, and count the misses of the Schur-coefficient memo.
 
-    Both sit below their memo tables, so each recorded row and each count
-    is a cache miss.
+    The quotient step and the alternant pass sit below their memo tables,
+    so each recorded row and each count is a cache miss.
     """
     counts = {"closed_rows": [], "schur_coefficients": 0}
-    one_step, signed_reps = formulas._one_step, oracle._signed_reps
+    one_step, alternant = formulas._one_step, oracle._alternant
 
     def spy_one_step(alpha, weight, inner):
         if weight is formulas._strict_row_weight_sum:
             counts["closed_rows"].append(alpha)
         return one_step(alpha, weight, inner)
 
-    def spy_signed_reps(terms, n):
+    def spy_alternant(terms, kappa):
         counts["schur_coefficients"] += 1
-        return signed_reps(terms, n)
+        return alternant(terms, kappa)
 
     monkeypatch.setattr(formulas, "_one_step", spy_one_step)
-    monkeypatch.setattr(oracle, "_signed_reps", spy_signed_reps)
+    monkeypatch.setattr(oracle, "_alternant", spy_alternant)
     return counts

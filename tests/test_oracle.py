@@ -278,8 +278,13 @@ def test_sign_table_holds_every_permutation_sign():
         assert all(sign == permutation_sign(p) for p, sign in table.items())
 
 
-def test_every_kostka_solve_is_checked(monkeypatch):
-    # one flipped sign in the shift table must make the Weyl-dimension check fatal
+def test_every_solve_is_checked(monkeypatch):
+    # One flipped sign in the shift table must make the check at
+    # x = (1, ..., 1) fatal.  HL_(3,1,1,0) has three partitions with a
+    # non-constant K[mu](t), and the flipped solve still sums to the Weyl
+    # dimensions at t = 1, so the t-polynomial comparison is what fails.
+    assert sum(any(t for _, t in coeff._terms)
+               for coeff in schur_coefficients((3, 1, 1, 0)).values()) >= 2
     shifts = oracle._shifts
 
     def perturbed(n):
@@ -288,7 +293,7 @@ def test_every_kostka_solve_is_checked(monkeypatch):
 
     monkeypatch.setattr(oracle, "_shifts", perturbed)
     cases = {schur: [(2, 0), (2, 1, 0)],
-             hall_littlewood: [(2, 0), (2, 1, 0), (0, 2, 1)],
+             hall_littlewood: [(2, 0), (2, 1, 0), (0, 2, 1), (3, 1, 1, 0)],
              formulas.hl_row_quotient: [(1, 1, 0), (2, 1, 0)]}
     for route, lams in cases.items():
         for lam in lams:
