@@ -25,25 +25,27 @@ from the weighted displacement sum(j * (image_j - alpha_j)): each
 elementary raise adds exactly one to it, so word order never matters.
 
 Each sum over strict GT patterns here weights a pattern by a product
-over its consecutive row pairs, so all four run on one row-transfer
-engine: with F(()) = 1 and k = n - len(row) + 1,
+over its consecutive row pairs, so all run on one row-transfer engine:
+with F(()) = 1 and k = n - len(row) + 1,
 
-    F(row) = sum over strict next rows mu of
-             edge_weight(row, mu) * x_k^(|row| - |mu|) * F(mu),
+    F(row) = sum over next rows mu of
+             weight(row, mu) * x_k^(|row| - |mu|) * F(mu),
 
 memoized per distinct row, which folds the pattern tree into a DAG (the
-transfer-matrix view of Tokuyama-type formulas); each edge carries its
-drop |row| - |mu| from where it is made.  The edge weights:
-``hl_pattern_expansion`` uses ``row_weight_sum``; ``tokuyama_sum``
-(-q)^left * (1-q)^special; ``stanley_sum`` 2^special, with top row lam
-itself; ``stanley_filtered_sum`` the product of the lower row's diagonal
-weights at q = 0, t = -1, or 0 if the pair fails its row-local filter.
-The quotient routes form neither F(top) nor a product: ``_one_step``
-takes one step of the same engine under one row over inner sums H(mu)
-and returns its proven quotient by prod_{j>1} (x_1 - q x_j).
-``hl_pattern_quotient`` and ``tokuyama_quotient`` take H(mu) from the
-memoized step below (``_row_quotient``); ``hl_row_quotient``,
-``tokuyama_row_quotient`` and ``hl_row_recursion`` from the oracle.
+transfer-matrix view of Tokuyama-type formulas).  One walk, in
+``_row_sums``, builds every edge and filters nothing, so each formula's
+one weight is 0 on the rows it excludes, here every non-strict mu:
+``_strict_row_weight_sum`` is ``row_weight_sum``;
+``_strict_tokuyama_weight`` (-q)^left * (1-q)^special; ``_stanley_weight``
+2^special, with top row lam itself; ``_filtered_weight`` the product of
+the lower row's diagonal weights at q = 0, t = -1, or 0 if the pair
+fails its row-local filter.  Only ``hl_row_quotient`` keeps non-strict
+mu, with weight ``_det_weight``.  The pattern sums walk to the empty row;
+the quotient routes form neither F(top) nor a product: ``_one_step``
+walks one row down over inner sums H(mu) and returns its proven quotient
+by prod_{j>1} (x_1 - q x_j).  ``hl_pattern_quotient`` and
+``tokuyama_quotient`` take H(mu) from the memoized step below
+(``_row_quotient``); the row routes from the oracle.
 
 The engine holds each F(row) as {x-exponents: packed int}: the q,t
 coefficient sum c q^a t^b of an x-monomial packs to
@@ -407,29 +409,37 @@ def _top_bounds(top: tuple[int, ...], levels: list[dict], base: dict) -> tuple[i
     return bounds[top]
 
 
-def _row_sums(top: tuple[int, ...], levels: list[dict],
-              base: dict) -> tuple[dict[tuple[int, ...], int], _Layout]:
-    """F(top), packed, and its layout: the row step applied level by level, bottom up, over base.
+def _row_sums(top: tuple[int, ...], weight, depth: int,
+              inner) -> tuple[dict[tuple[int, ...], int], _Layout]:
+    """F(top), packed, and its layout: ``depth`` row steps below top, the last over inner.
 
-    ``levels`` lists, top row first, each level's rows mapped to their
-    (mu, drop, weight) edges, drop = |row| - |mu|; the last level's next
-    rows mu are the keys of ``base``, which maps each to F(mu), a
-    Polynomial in len(mu) variables.  The row step is
+    The walk goes top down: a row's edges (mu, drop, w) are its interleavings
+    mu with w = weight(row, mu) nonzero and drop = |row| - |mu|; the next level
+    holds the rows they reach, once each, and the rows ``depth`` levels down
+    take F(mu) = inner(mu), a Polynomial in len(mu) variables.  The row step is
 
-        F(row) = sum over edges (mu, drop, weight) of weight * x_k^drop * F(mu),
+        F(row) = sum over edges (mu, drop, w) of w * x_k^drop * F(mu),
 
     with each F held as {x-exponents of the last len(row) variables:
     packed q,t coefficient}, so each edge costs one multiply-add per
     x-monomial.  The packed layout comes from ``_top_bounds``: an edge
     writes only x-monomials whose x_k exponent is its drop, so a
     coefficient of F(row), and every partial sum of it, adds
-    products weight * (a coefficient of F(mu)) over edges of one drop
-    only.  Each product has L1 norm at most L1(weight) * L1(F(mu)), so
+    products w * (a coefficient of F(mu)) over edges of one drop
+    only.  Each product has L1 norm at most L1(w) * L1(F(mu)), so
     the largest per-drop sum of these bounds it.  Every row is reachable
     from top through nonzero weights, so top's bounds cover all rows and
     fix one layout of byte-aligned fields of at most 64 bits.  F(top)
     lies in its range.
     """
+    levels: list[dict] = []
+    rows = (top,)
+    for _ in range(depth):
+        levels.append({row: [(mu, sum(row) - sum(mu), w) for mu in _interleavings(row)
+                             if (w := weight(row, mu))]
+                       for row in rows})
+        rows = dict.fromkeys(mu for edges in levels[-1].values() for mu, _, _ in edges)
+    base = {mu: inner(mu) for mu in rows}
     layout = _Layout.proven(*_top_bounds(top, levels, base))
     below = {mu: layout.pack(f) for mu, f in base.items()}
     for level in reversed(levels):
@@ -437,29 +447,20 @@ def _row_sums(top: tuple[int, ...], levels: list[dict],
         for row, edges in level.items():
             out: dict[tuple[int, ...], int] = {}
             get = out.get
-            for mu, drop, weight in edges:
-                w = layout.pack(weight)[()]
+            for mu, drop, w in edges:
+                c = layout.pack(w)[()]
                 lead = (drop,)
                 for xs, f in below[mu].items():
                     key = lead + xs
-                    out[key] = get(key, 0) + w * f
+                    out[key] = get(key, 0) + c * f
             above[row] = out
         below = above
     return below[top], layout
 
 
-def _transfer(top: tuple[int, ...], edge_weight) -> Polynomial:
-    """F(top) of the row transfer in the module docstring, one row length at a time."""
-    # Top down to the empty row: the rows of each length reachable through
-    # nonzero weights, each mapped to its (next row, drop, weight) edges.
-    levels: list[dict] = []
-    rows = (top,)
-    for _ in top:
-        levels.append({row: [(mu, sum(row) - sum(mu), w) for mu in _interleavings(row)
-                             if is_strictly_decreasing(mu) and (w := edge_weight(row, mu))]
-                       for row in rows})
-        rows = dict.fromkeys(mu for edges in levels[-1].values() for mu, _, _ in edges)
-    packed, layout = _row_sums(top, levels, {(): _ONE})
+def _transfer(top: tuple[int, ...], weight) -> Polynomial:
+    """F(top) of the row transfer in the module docstring: every row step down to the empty row."""
+    packed, layout = _row_sums(top, weight, len(top), lambda mu: _ONE)
     return layout.unpack(len(top), packed)
 
 
@@ -470,7 +471,7 @@ def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
     product over consecutive row pairs of the raising-closure-summed
     transition determinants, times x^weight.
     """
-    return _transfer(add_staircase(check_partition(lam)), _row_weight_sum)
+    return _transfer(add_staircase(check_partition(lam)), _strict_row_weight_sum)
 
 
 def hl_pattern_quotient(lam: Sequence[int]) -> Polynomial:
@@ -491,13 +492,11 @@ def _tokuyama_factor(left: int, special: int) -> Polynomial:
     return (-_Q) ** left * (_ONE - _Q) ** special
 
 
-def _tokuyama_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
-    left, _, special = _leaning(_row_labels(upper, lower))
-    return _tokuyama_factor(left, special)
-
-
 def _strict_tokuyama_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
-    return _tokuyama_weight(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
+    if not is_strictly_decreasing(mu):
+        return _ZERO
+    left, _, special = _leaning(_row_labels(alpha, mu))
+    return _tokuyama_factor(left, special)
 
 
 def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
@@ -505,7 +504,7 @@ def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
 
     Each pattern contributes (1-q)^special * (-q)^left * x^weight.
     """
-    return _transfer(add_staircase(check_partition(lam)), _tokuyama_weight)
+    return _transfer(add_staircase(check_partition(lam)), _strict_tokuyama_weight)
 
 
 def tokuyama_quotient(lam: Sequence[int]) -> Polynomial:
@@ -515,11 +514,8 @@ def tokuyama_quotient(lam: Sequence[int]) -> Polynomial:
 
 def _one_step(alpha: tuple[int, ...], weight, inner) -> Polynomial:
     # The proven quotient by prod_{j>1} (x_1 - q x_j) of the row step under alpha over inner.
-    n = len(alpha)
-    edges = [(mu, sum(alpha) - sum(mu), w) for mu in _interleavings(alpha)
-             if (w := weight(alpha, mu))]
-    packed, layout = _row_sums(alpha, [{alpha: edges}], {mu: inner(mu) for mu, _, _ in edges})
-    return layout.quotient(n, packed, [(0, j) for j in range(1, n)])
+    packed, layout = _row_sums(alpha, weight, 1, inner)
+    return layout.quotient(len(alpha), packed, [(0, j) for j in range(1, len(alpha))])
 
 
 @lru_cache(maxsize=None)
@@ -580,7 +576,8 @@ def tokuyama_row_quotient(lam: Sequence[int]) -> Polynomial:
 
 
 def _stanley_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
-    return constant(2 ** _leaning(_row_labels(upper, lower))[2], 0)
+    strict = is_strictly_decreasing(lower)
+    return constant(2 ** _leaning(_row_labels(upper, lower))[2], 0) if strict else _ZERO
 
 
 def stanley_sum(lam: Sequence[int]) -> Polynomial:
@@ -602,6 +599,7 @@ def _admits_filtered(word: tuple[tuple[str, str], ...]) -> bool:
 
 
 def _filtered_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
+    # 0 on non-strict rows unchecked: of two equal entries the second is left-equal.
     word = _row_labels(upper, lower)
     if not _admits_filtered(word):
         return _ZERO

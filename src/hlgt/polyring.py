@@ -19,9 +19,11 @@ ring; :meth:`Polynomial.to_dict` is its parse.  Equality is structural, so
 two construction orders of the same polynomial compare equal.
 
 The constructor is the checked entry for terms from outside the program.
-Every computed sum of terms is made canonical in one place,
-:meth:`Polynomial._collect`, which adds up repeated monomials and drops
-zero coefficients once.
+No stored coefficient is ever zero: :meth:`Polynomial._collect` drops
+them from every computed sum of terms, and every other caller of
+:meth:`Polynomial._raw` (constants, negation, synthetic division,
+``formulas._Layout.unpack`` and the oracle's ``_alternant``, ``_solve``
+and ``_symmetric``) hands it a map that holds none.
 """
 
 from __future__ import annotations

@@ -290,6 +290,48 @@ def test_pattern_sums_repeat_exactly(route):
     assert evaluate(lam) == first
 
 
+# The one edge weight of each pattern sum in ENGINE_ROUTES.
+ROUTE_WEIGHTS = {"hl": "_strict_row_weight_sum", "tokuyama": "_strict_tokuyama_weight",
+                 "stanley": "_stanley_weight", "filtered": "_filtered_weight"}
+
+# Each of the 209 strict rows lam + staircase with n <= 6 and parts <= 3,
+# paired with each of its non-strict next rows.
+NON_STRICT_EDGES = [(alpha, mu) for alpha in map(add_staircase, grid(6, 3))
+                    for mu in _interleavings(alpha) if not patterns.is_strictly_decreasing(mu)]
+
+
+@pytest.mark.parametrize("weight", sorted(ROUTE_WEIGHTS.values()))
+def test_each_strict_route_weight_is_zero_on_non_strict_rows(weight):
+    # The walk in _row_sums keeps every edge whose weight is nonzero, so
+    # each strict pattern sum relies on its own weight to drop these rows.
+    assert len(NON_STRICT_EDGES) == 5202
+    assert not any(getattr(formulas, weight)(alpha, mu) for alpha, mu in NON_STRICT_EDGES)
+
+
+def test_the_row_recursion_weight_keeps_non_strict_rows():
+    # Rows of one or two parts have no non-strict next row.
+    assert len({alpha for alpha, _ in NON_STRICT_EDGES}) == 209 - 4 - 10
+    assert sum(bool(formulas._det_weight(alpha, mu)) for alpha, mu in NON_STRICT_EDGES) == 4464
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_WEIGHTS))
+def test_the_walk_weighs_each_edge_once(route, monkeypatch):
+    # A row reached from several parents is walked once, not once per parent.
+    calls = Counter()
+    weight = getattr(formulas, ROUTE_WEIGHTS[route])
+
+    def spy(alpha, mu):
+        calls[alpha, mu] += 1
+        return weight(alpha, mu)
+
+    monkeypatch.setattr(formulas, ROUTE_WEIGHTS[route], spy)
+    evaluate, pair_weight = ENGINE_ROUTES[route]
+    lam = (3, 2, 1, 0)  # strict, so the filtered sum is nonzero
+    assert evaluate(lam) == pattern_sum_reference(add_staircase(lam), pair_weight)
+    assert {len(alpha) for alpha, _ in calls} == {4, 3, 2, 1}
+    assert set(calls.values()) == {1}
+
+
 def test_filter_is_a_row_pair_predicate():
     def admits(upper, lower):
         return formulas._admits_filtered(patterns._row_labels(upper, lower))
