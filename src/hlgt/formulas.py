@@ -6,10 +6,11 @@ holds ``_diagonal_weight`` of the (left, right) labels of each entry of
 mu under alpha, the superdiagonal is all ones, and the subdiagonal holds
 ``_subdiagonal_weight`` of the labels of each two adjacent entries.
 These label-pair entries and the q,t weight of each label live here,
-beside the determinant, their one consumer.  Both read only the label
-word of mu under alpha (its entries' labels, in order), so the
-determinant is memoized on that word and evaluated by the two-term
-top-row expansion
+beside the determinant, their one consumer; at import they are also
+tabulated as plain {(q, t): c} maps, the form every edge weight below
+takes.  Both read only the label word of mu under alpha (its entries'
+labels, in order), so the determinant is memoized on that word and
+evaluated, on those maps, by the two-term top-row expansion
 
     M(word) = w(word_1) * M(word') - d(word_1, word_2) * M(word''),
 
@@ -34,13 +35,18 @@ with F(()) = 1 and k = n - len(row) + 1,
 memoized per distinct row, which folds the pattern tree into a DAG (the
 transfer-matrix view of Tokuyama-type formulas).  One walk, in
 ``_row_sums``, builds every edge and filters nothing, so each formula's
-one weight is 0 on the rows it excludes, here every non-strict mu:
+one weight is 0 on the rows it excludes, here every non-strict mu.  A
+weight is a {(q, t): c} map with no zero entry, empty for no edge, and
+no Polynomial arithmetic runs between the label tables and the packed
+row sums; memoized maps are shared, so nothing mutates a weight.
 ``_strict_row_weight_sum`` is ``row_weight_sum``;
 ``_strict_tokuyama_weight`` (-q)^left * (1-q)^special; ``_stanley_weight``
 2^special, with top row lam itself; ``_filtered_weight`` the product of
 the lower row's diagonal weights at q = 0, t = -1, or 0 if the pair
 fails its row-local filter.  Only ``hl_row_quotient`` keeps non-strict
-mu, with weight ``_det_weight``.  The pattern sums walk to the empty row;
+mu, with weight ``_det_weight``.  The public ``transition_det``,
+``row_weight_sum`` and ``pattern_row_weights`` return copies of these
+maps as q,t Polynomials.  The pattern sums walk to the empty row;
 the quotient routes form neither F(top) nor a product: ``_one_step``
 walks one row down over inner sums H(mu) and returns its proven quotient
 by prod_{j>1} (x_1 - q x_j).  ``hl_pattern_quotient`` and
@@ -52,12 +58,13 @@ coefficient sum c q^a t^b of an x-monomial packs to
 sum c << width * (a * stride + b), Kronecker substitution with signed
 fields, so an edge costs one bigint multiply-add per x-monomial.  The
 layout is proven, not guessed: one scalar pass over the same rows and
-edges bounds each row's q-degree, t-degree and coefficient L1 norm, with
-the edges of a row grouped by their drop |row| - |mu|, since edges of
-different drops never add into the same coefficient.  The top row's
-bounds give stride = t-degree + 1 and byte-aligned fields: the smallest
-of 8, 16, 32 and 64 bits that holds L1.bit_length() + 1.  A larger need
-raises PatternSizeError before any product.
+edges bounds each row's q-degree, t-degree and coefficient L1 norm,
+reading each distinct weight map once, with the edges of a row grouped
+by their drop |row| - |mu|, since edges of different drops never add
+into the same coefficient.  The top row's bounds give stride = t-degree
++ 1 and byte-aligned fields: the smallest of 8, 16, 32 and 64 bits that
+holds L1.bit_length() + 1.  A larger need raises PatternSizeError before
+any product.
 
 The packed result has two exits.  ``unpack`` reads each value once as
 signed machine integers by a memoryview; a value beyond the proven
@@ -73,8 +80,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress
-from math import prod
+from itertools import compress, product
+from math import comb, prod
 from typing import Sequence
 
 from . import oracle
@@ -187,17 +194,43 @@ def _subdiagonal_weight(first: tuple[str, str], second: tuple[str, str]) -> Poly
     return _LABEL_WEIGHT[first[1]] * _LABEL_WEIGHT[second[0]]
 
 
+# A q,t polynomial as a plain {(q, t): c} map with no zero c.
+_QtMap = dict[tuple[int, int], int]
+
+# The same weights as {(q, t): c} maps, for every (left, right) label of
+# an entry and every adjacent pair of them; (l, r) has no diagonal entry.
+_ENTRY_LABELS = tuple(product((LEFT, ALMOST_LEFT, SPECIAL), (RIGHT, ALMOST_RIGHT, SPECIAL)))
+_DIAGONAL = {labels: _diagonal_weight(*labels)._terms
+             for labels in _ENTRY_LABELS if labels != (LEFT, RIGHT)}
+_SUBDIAGONAL = {pair: _subdiagonal_weight(*pair)._terms
+                for pair in product(_ENTRY_LABELS, repeat=2)}
+_UNIT = {(0, 0): 1}
+
+
+def _add_product(out: _QtMap, a: _QtMap, b: _QtMap, sign: int = 1) -> None:
+    # out += sign * a * b on {(q, t): c} maps; zero entries may remain in out.
+    get = out.get
+    for (qa, ta), ca in a.items():
+        ca *= sign
+        for (qb, tb), cb in b.items():
+            key = qa + qb, ta + tb
+            out[key] = get(key, 0) + ca * cb
+
+
 @lru_cache(maxsize=None)
-def _det_recurrence(word: tuple[tuple[str, str], ...]) -> Polynomial:
+def _det_recurrence(word: tuple[tuple[str, str], ...]) -> _QtMap:
     if not word:
-        return _ONE
-    det = _diagonal_weight(*word[0]) * _det_recurrence(word[1:])
+        return _UNIT
+    if word[0] not in _DIAGONAL:
+        _diagonal_weight(*word[0])  # raises for the one label without an entry, (l, r)
+    det: _QtMap = {}
+    _add_product(det, _DIAGONAL[word[0]], _det_recurrence(word[1:]))
     if len(word) > 1:
-        det = det - _subdiagonal_weight(word[0], word[1]) * _det_recurrence(word[2:])
-    return det
+        _add_product(det, _SUBDIAGONAL[word[0], word[1]], _det_recurrence(word[2:]), -1)
+    return {key: c for key, c in det.items() if c}
 
 
-def _det_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
+def _det_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> _QtMap:
     # The determinant of a next row mu already known to interleave with alpha.
     return _det_recurrence(_row_labels(alpha, mu))
 
@@ -214,20 +247,37 @@ def transition_det(alpha: Sequence[int], mu: Sequence[int]) -> Polynomial:
     mu = tuple(mu)
     if not interleaves(alpha, mu):
         return _ZERO
-    return _det_weight(alpha, mu)
+    return Polynomial._raw(0, dict(_det_weight(alpha, mu)))
 
 
 def row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
-    """Sum of t^length * transition_det(upper, image) over the closure of lower."""
-    return _row_weight_sum(_check_upper_row(upper), tuple(lower))
+    """Sum of t^length * transition_det(upper, image) over the closure of lower.
+
+    0 unless lower interleaves with upper: a raise makes two adjacent
+    parts equal, two equal parts b under a strict row both equal the part
+    of it between them, and its strictness leaves room for the undone
+    pair (b + 1, b - 1), so undoing the raise keeps the row interleaved.
+    Hence no image of a lower row that fails to interleave does.
+    """
+    upper, lower = _check_upper_row(upper), check_partition(lower, strict=True)
+    if not interleaves(upper, lower):
+        return _ZERO
+    return Polynomial._raw(0, dict(_row_weight_sum(upper, lower)._terms))
 
 
 def _row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
-    # row_weight_sum for an upper row already known to be strictly decreasing.
-    return Polynomial._collect(0, (
-        ((q, t + op.length), c)
-        for op in raising_closure(lower) if interleaves(upper, op.result)
-        for (q, t), c in _det_weight(upper, op.result)._terms.items()))
+    # row_weight_sum for a strict upper row and a strict lower row that
+    # interleaves with it, so the identity image needs no check.  A closure
+    # of the identity alone shares its memoized map: never mutate it.
+    _, *raised = raising_closure(lower)
+    det = _det_weight(upper, lower)
+    if not raised:
+        return Polynomial._raw(0, det)
+    out = dict(det)
+    for op in raised:
+        if interleaves(upper, op.result):
+            _add_product(out, {(0, op.length): 1}, _det_weight(upper, op.result))
+    return Polynomial._raw(0, {key: c for key, c in out.items() if c})
 
 
 def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
@@ -286,6 +336,11 @@ class _Layout:
             xs = mono[:-2]
             packed[xs] = packed.get(xs, 0) + (c << width * (mono[-2] * stride + mono[-1]))
         return packed
+
+    def pack_qt(self, qt: _QtMap) -> int:
+        """A {(q, t): c} map as one packed int."""
+        width, stride = self.width, self.t_deg + 1
+        return sum(c << width * (q * stride + t) for (q, t), c in qt.items())
 
     def unpack(self, n_vars: int, packed: dict[tuple[int, ...], int]) -> Polynomial:
         """The Polynomial of packed: each value read as balanced base-2**width digits.
@@ -387,20 +442,30 @@ def _bounds(poly: Polynomial) -> tuple[int, int, int]:
     return q_deg, t_deg, max(l1.values(), default=0)
 
 
-def _top_bounds(top: tuple[int, ...], levels: list[dict], base: dict) -> tuple[int, int, int]:
+def _qt_bounds(qt: _QtMap) -> tuple[int, int, int]:
+    # _bounds of a {(q, t): c} map: its q-degree, t-degree and L1 norm.
+    return (max((q for q, _ in qt), default=0), max((t for _, t in qt), default=0),
+            sum(map(abs, qt.values())))
+
+
+def _top_bounds(top: tuple[int, ...], levels: list[dict], base: dict,
+                weights: dict[int, _QtMap]) -> tuple[int, int, int]:
     """The (q-degree, t-degree, L1) bounds of F(top) over the rows of _row_sums.
 
     L1 bounds the L1 norm of every x-monomial's q,t coefficient:
     L1(row) = max over drops d of the sum, over the edges (mu, d, weight),
-    of L1(weight) * L1(F(mu)).  ``_row_sums`` says why this holds.
+    of L1(weight) * L1(F(mu)).  ``_row_sums`` says why this holds.  Each
+    distinct weight map in ``weights``, keyed by id, is bounded once by
+    ``_qt_bounds``: its largest q and t exponents and the sum of |c|.
     """
     bounds = {mu: _bounds(f) for mu, f in base.items()}
+    weight_bounds = {key: _qt_bounds(w) for key, w in weights.items()}
     for level in reversed(levels):
         for row, edges in level.items():
             q_deg = t_deg = 0
             by_drop: dict[int, int] = {}
             for mu, drop, weight in edges:
-                wq, wt, wl = _bounds(weight)
+                wq, wt, wl = weight_bounds[id(weight)]
                 mq, mt, ml = bounds[mu]
                 q_deg = max(q_deg, wq + mq)
                 t_deg = max(t_deg, wt + mt)
@@ -414,15 +479,17 @@ def _row_sums(top: tuple[int, ...], weight, depth: int,
     """F(top), packed, and its layout: ``depth`` row steps below top, the last over inner.
 
     The walk goes top down: a row's edges (mu, drop, w) are its interleavings
-    mu with w = weight(row, mu) nonzero and drop = |row| - |mu|; the next level
+    mu with w = weight(row, mu) a nonempty {(q, t): c} map and drop =
+    |row| - |mu|; the next level
     holds the rows they reach, once each, and the rows ``depth`` levels down
     take F(mu) = inner(mu), a Polynomial in len(mu) variables.  The row step is
 
         F(row) = sum over edges (mu, drop, w) of w * x_k^drop * F(mu),
 
     with each F held as {x-exponents of the last len(row) variables:
-    packed q,t coefficient}, so each edge costs one multiply-add per
-    x-monomial.  The packed layout comes from ``_top_bounds``: an edge
+    packed q,t coefficient} and each distinct w packed once to one int,
+    so each edge costs one multiply-add per x-monomial.  The packed
+    layout comes from ``_top_bounds``: an edge
     writes only x-monomials whose x_k exponent is its drop, so a
     coefficient of F(row), and every partial sum of it, adds
     products w * (a coefficient of F(mu)) over edges of one drop
@@ -440,15 +507,19 @@ def _row_sums(top: tuple[int, ...], weight, depth: int,
                        for row in rows})
         rows = dict.fromkeys(mu for edges in levels[-1].values() for mu, _, _ in edges)
     base = {mu: inner(mu) for mu in rows}
-    layout = _Layout.proven(*_top_bounds(top, levels, base))
+    # Shared maps (memoized determinants, Tokuyama factors) count once;
+    # ids stay valid while ``levels`` holds every map.
+    weights = {id(w): w for level in levels for edges in level.values() for _, _, w in edges}
+    layout = _Layout.proven(*_top_bounds(top, levels, base, weights))
     below = {mu: layout.pack(f) for mu, f in base.items()}
+    packed = {key: layout.pack_qt(w) for key, w in weights.items()}
     for level in reversed(levels):
         above = {}
         for row, edges in level.items():
             out: dict[tuple[int, ...], int] = {}
             get = out.get
             for mu, drop, w in edges:
-                c = layout.pack(w)[()]
+                c = packed[id(w)]
                 lead = (drop,)
                 for xs, f in below[mu].items():
                     key = lead + xs
@@ -483,18 +554,19 @@ def hl_pattern_quotient(lam: Sequence[int]) -> Polynomial:
     return _row_quotient(add_staircase(check_partition(lam)), _strict_row_weight_sum)
 
 
-def _strict_row_weight_sum(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
-    return _row_weight_sum(alpha, mu) if is_strictly_decreasing(mu) else _ZERO
+def _strict_row_weight_sum(alpha: tuple[int, ...], mu: tuple[int, ...]) -> _QtMap:
+    return _row_weight_sum(alpha, mu)._terms if is_strictly_decreasing(mu) else {}
 
 
 @lru_cache(maxsize=None)
-def _tokuyama_factor(left: int, special: int) -> Polynomial:
-    return (-_Q) ** left * (_ONE - _Q) ** special
+def _tokuyama_factor(left: int, special: int) -> _QtMap:
+    # (-q)^left * (1-q)^special = sum over k of (-1)^(left+k) C(special, k) q^(left+k).
+    return {(left + k, 0): (-1) ** (left + k) * comb(special, k) for k in range(special + 1)}
 
 
-def _strict_tokuyama_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Polynomial:
+def _strict_tokuyama_weight(alpha: tuple[int, ...], mu: tuple[int, ...]) -> _QtMap:
     if not is_strictly_decreasing(mu):
-        return _ZERO
+        return {}
     left, _, special = _leaning(_row_labels(alpha, mu))
     return _tokuyama_factor(left, special)
 
@@ -575,9 +647,10 @@ def tokuyama_row_quotient(lam: Sequence[int]) -> Polynomial:
     return _oracle_step(lam, _strict_tokuyama_weight, oracle.schur)
 
 
-def _stanley_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
-    strict = is_strictly_decreasing(lower)
-    return constant(2 ** _leaning(_row_labels(upper, lower))[2], 0) if strict else _ZERO
+def _stanley_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> _QtMap:
+    if not is_strictly_decreasing(lower):
+        return {}
+    return {(0, 0): 2 ** _leaning(_row_labels(upper, lower))[2]}
 
 
 def stanley_sum(lam: Sequence[int]) -> Polynomial:
@@ -598,13 +671,15 @@ def _admits_filtered(word: tuple[tuple[str, str], ...]) -> bool:
     )
 
 
-def _filtered_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
+def _filtered_weight(upper: tuple[int, ...], lower: tuple[int, ...]) -> _QtMap:
     # 0 on non-strict rows unchecked: of two equal entries the second is left-equal.
     word = _row_labels(upper, lower)
     if not _admits_filtered(word):
-        return _ZERO
-    coeff = prod((_diagonal_weight(left, right) for left, right in word), start=_ONE)
-    return coeff.substitute("q", 0).substitute("t", -1)
+        return {}
+    # Each diagonal weight at q = 0, t = -1: the sum of its q-free (-1)^t c.
+    coeff = prod(sum(c * (-1) ** t for (q, t), c in _DIAGONAL[labels].items() if not q)
+                 for labels in word)
+    return {(0, 0): coeff} if coeff else {}
 
 
 def stanley_filtered_sum(lam: Sequence[int]) -> Polynomial:

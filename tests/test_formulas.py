@@ -136,6 +136,35 @@ def test_row_weight_sum_worked_example():
     assert row_weight_sum((2, 0), (1,)) == ONE - Q
 
 
+def test_row_weight_sum_is_zero_below_a_row_it_does_not_interleave():
+    # A lower row of the wrong length, and one with an entry above its parents.
+    assert row_weight_sum((5, 3, 1), (4,)) == 0
+    assert row_weight_sum((3, 1, 0), (4, 0)) == 0
+
+
+def test_row_weight_sum_matches_its_definition():
+    # t^length times the explicit determinant, summed over the closure images
+    # that interleave with the upper row: every strict edge of the strict
+    # rows of length 2-4 with parts <= 5, and every strict lower row of the
+    # right length with parts <= 6 that is no edge.
+    edges = raised = others = 0
+    for length in range(2, 5):
+        for alpha in strict_tuples(length, 5):
+            for mu in strict_tuples(length - 1, 6):
+                images = [op for op in raising_closure(mu) if patterns.interleaves(alpha, op.result)]
+                expected = sum((T ** op.length * laplace_det(tridiagonal_matrix(alpha, op.result))
+                                for op in images), start=Polynomial.zero(0))
+                assert row_weight_sum(alpha, mu) == expected, (alpha, mu)
+                if patterns.interleaves(alpha, mu):
+                    edges += 1
+                    raised += len(images) > 1
+                else:
+                    others += 1
+    assert edges == sum(patterns.is_strictly_decreasing(mu) for length in range(2, 5)
+                        for alpha in strict_tuples(length, 5) for mu in _interleavings(alpha))
+    assert raised and others  # closures past the identity, and rows that are no edge
+
+
 def test_row_weight_sum_accepts_any_sequence_as_its_rows():
     assert row_weight_sum([3, 1, 0], [2, 0]) == row_weight_sum((3, 1, 0), (2, 0))
 
@@ -402,6 +431,10 @@ def test_packed_multiply_add_matches_polynomial_arithmetic(a, b, c):
     layout = formulas._Layout.proven(max(aq + bq, cq), max(at + bt, ct), al * bl + cl)
     value = packed(layout, a) * packed(layout, b) + packed(layout, c)
     assert layout.unpack(0, {(): value}) == a * b + c
+    # The {(q, t): c} maps the engine weighs its edges with bound and pack alike.
+    for p in (a, b, c):
+        assert formulas._qt_bounds(p._terms) == formulas._bounds(p)
+        assert layout.pack_qt(p._terms) == packed(layout, p)
 
 
 @settings(max_examples=40)
