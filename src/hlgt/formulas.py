@@ -66,9 +66,14 @@ into the same coefficient.  The top row's bounds give stride = t-degree
 holds L1.bit_length() + 1.  A larger need raises PatternSizeError before
 any product.
 
-The packed result has two exits.  ``unpack`` reads each value once as
-signed machine integers by a memoryview; a value beyond the proven
-q-degree raises ArithmeticError.  The pattern sums return it.
+The packed result has three exits, all reading each value once as signed
+machine integers through one decoder, ``_Layout._decode``; a value
+beyond the proven q-degree raises ArithmeticError in each.  The pattern
+sums return F(top) still packed, as a Polynomial whose terms are decoded
+on first read.  ``_Layout.to_json`` writes its canonical JSON text with
+no term map: that is what ``compute --format json`` prints in modes
+closed, tokuyama and stanley.  ``unpack`` gives the terms to every other
+use (text output, arithmetic, equality in ``verify``).
 ``_Layout.quotient``, called by ``_one_step`` only, divides a packed row
 step exactly by its factors x_1 - q x_j before anything is unpacked, and
 returns the quotient only with a proof that the step is the factors
@@ -80,9 +85,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress, product
+from itertools import chain, compress, product
 from math import comb, prod
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import oracle
 from .polyring import Polynomial, constant, parameter, synthetic_division
@@ -262,22 +267,22 @@ def row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial
     upper, lower = _check_upper_row(upper), check_partition(lower, strict=True)
     if not interleaves(upper, lower):
         return _ZERO
-    return Polynomial._raw(0, dict(_row_weight_sum(upper, lower)._terms))
+    return Polynomial._raw(0, dict(_row_weight_sum(upper, lower)))
 
 
-def _row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> Polynomial:
+def _row_weight_sum(upper: tuple[int, ...], lower: tuple[int, ...]) -> _QtMap:
     # row_weight_sum for a strict upper row and a strict lower row that
     # interleaves with it, so the identity image needs no check.  A closure
     # of the identity alone shares its memoized map: never mutate it.
     _, *raised = raising_closure(lower)
     det = _det_weight(upper, lower)
     if not raised:
-        return Polynomial._raw(0, det)
+        return det
     out = dict(det)
     for op in raised:
         if interleaves(upper, op.result):
             _add_product(out, {(0, op.length): 1}, _det_weight(upper, op.result))
-    return Polynomial._raw(0, {key: c for key, c in out.items() if c})
+    return {key: c for key, c in out.items() if c}
 
 
 def pattern_row_weights(pattern: GtPattern) -> list[Polynomial]:
@@ -342,35 +347,67 @@ class _Layout:
         width, stride = self.width, self.t_deg + 1
         return sum(c << width * (q * stride + t) for (q, t), c in qt.items())
 
-    def unpack(self, n_vars: int, packed: dict[tuple[int, ...], int]) -> Polynomial:
-        """The Polynomial of packed: each value read as balanced base-2**width digits.
+    def _slots(self) -> list[tuple[int, int]]:
+        # The (q, t) exponents of each field, highest field first: the order
+        # in which _decode yields every value's digits.
+        stride = self.t_deg + 1
+        return [divmod(k, stride) for k in reversed(range((self.q_deg + 1) * stride))]
+
+    def _decode(self, items: Iterable[tuple[tuple[int, ...], int]]
+                ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """(xs, digits) for each (xs, value) of items: value's fields as signed ints, highest first.
 
         Adding 2**(width-1) to every field, then flipping that bit back,
         turns each digit c into its width-bit two's complement c mod
         2**width with no borrow between fields.  The value's bytes, cast
         to signed machine integers of the field width, then give every
-        digit, and ``compress`` keeps the nonzero ones.  A value outside
-        the fields of q-degree <= q_deg raises ArithmeticError.
+        digit.  A value outside the fields of q-degree <= q_deg raises
+        ArithmeticError.
         """
-        width, stride = self.width, self.t_deg + 1
-        n_fields = (self.q_deg + 1) * stride
-        n_bits = width * n_fields
+        width = self.width
+        n_bits = width * (self.q_deg + 1) * (self.t_deg + 1)
         offset = ((1 << n_bits) - 1) // ((1 << width) - 1) << (width - 1)
         n_bytes, fmt, order = n_bits >> 3, _FIELD_FORMATS[width], sys.byteorder
-        # The q,t exponents of each field, in the order the cast yields them.
-        slots = [divmod(k, stride) for k in range(n_fields)]
-        if order == "big":
-            slots.reverse()
-        terms: dict[tuple[int, ...], int] = {}
-        update = terms.update
-        for xs, value in packed.items():
+        for xs, value in items:
             value += offset
-            if value < 0 or value >> n_bits:
+            if value >> n_bits:  # nonzero for a negative value too
                 raise ArithmeticError(
                     f"packed q,t coefficient of x^{xs} beyond q-degree {self.q_deg}")
             digits = memoryview((value ^ offset).to_bytes(n_bytes, order)).cast(fmt).tolist()
+            if order == "little":
+                digits.reverse()
+            yield xs, digits
+
+    def unpack(self, n_vars: int, packed: dict[tuple[int, ...], int]) -> Polynomial:
+        """The Polynomial of packed: each value read once by ``_decode``, its nonzero digits kept."""
+        slots = self._slots()
+        terms: dict[tuple[int, ...], int] = {}
+        update = terms.update
+        for xs, digits in self._decode(packed.items()):
             update(zip(map(xs.__add__, compress(slots, digits)), compress(digits, digits)))
         return Polynomial._raw(n_vars, terms)
+
+    def to_json(self, n_vars: int, packed: dict[tuple[int, ...], int]) -> str:
+        """``unpack(n_vars, packed).to_json()``, written with no term map and no sort of terms.
+
+        The x-parts are sorted once, lex-descending, and each one's digits
+        come highest field first: q descending, then t.  So appending each
+        term to a bucket of its total degree leaves every bucket in
+        lex-descending order on (x.., q, t), and the buckets joined by
+        descending degree give the canonical order.  One template per
+        x-part has its x-exponents filled in, so each term formats c, q, t.
+        """
+        keyed = [(q + t, q, t) for q, t in self._slots()]
+        top = max(map(sum, packed), default=0) + self.q_deg + self.t_deg
+        buckets: list[list[str]] = [[] for _ in range(top + 1)]
+        appends = [bucket.append for bucket in buckets]
+        template = '{"c": "%%d", "x": [' + ", ".join(["%d"] * n_vars) + '], "q": %%d, "t": %%d}'
+        for xs, digits in self._decode((xs, packed[xs]) for xs in sorted(packed, reverse=True)):
+            term, degree = template % xs, sum(xs)
+            for (qt, q, t), c in zip(compress(keyed, digits), compress(digits, digits)):
+                appends[degree + qt](term % (c, q, t))
+        body = ", ".join(chain.from_iterable(reversed(buckets)))
+        return '{"n_vars": %d, "terms": [%s]}' % (n_vars, body)
 
     def quotient(self, n_vars: int, packed: dict[tuple[int, ...], int],
                  factors: Sequence[tuple[int, int]]) -> Polynomial:
@@ -529,10 +566,36 @@ def _row_sums(top: tuple[int, ...], weight, depth: int,
     return below[top], layout
 
 
+class _PackedSum(Polynomial):
+    """A pattern sum kept as ``_row_sums`` packs it, its terms decoded on first read.
+
+    ``to_json`` writes the text straight from the packed values with
+    ``_Layout.to_json``; anything that reads the terms (text, arithmetic,
+    equality) decodes them once with ``_Layout.unpack``.  Either way the
+    value is the Polynomial of the packed sum, and ``compute`` prints the
+    very value the public pattern sum returns.
+    """
+
+    # The _terms property shadows Polynomial's slot, which stays unset.
+    __slots__ = ("_layout", "_packed", "_decoded")
+
+    def __init__(self, n_vars: int, layout: _Layout, packed: dict[tuple[int, ...], int]) -> None:
+        self.n_vars, self._layout, self._packed, self._decoded = n_vars, layout, packed, None
+
+    @property
+    def _terms(self) -> dict[tuple[int, ...], int]:
+        if self._decoded is None:
+            self._decoded = self._layout.unpack(self.n_vars, self._packed)._terms
+        return self._decoded
+
+    def to_json(self) -> str:
+        return self._layout.to_json(self.n_vars, self._packed)
+
+
 def _transfer(top: tuple[int, ...], weight) -> Polynomial:
     """F(top) of the row transfer in the module docstring: every row step down to the empty row."""
     packed, layout = _row_sums(top, weight, len(top), lambda mu: _ONE)
-    return layout.unpack(len(top), packed)
+    return _PackedSum(len(top), layout, packed)
 
 
 def hl_pattern_expansion(lam: Sequence[int]) -> Polynomial:
@@ -555,7 +618,7 @@ def hl_pattern_quotient(lam: Sequence[int]) -> Polynomial:
 
 
 def _strict_row_weight_sum(alpha: tuple[int, ...], mu: tuple[int, ...]) -> _QtMap:
-    return _row_weight_sum(alpha, mu)._terms if is_strictly_decreasing(mu) else {}
+    return _row_weight_sum(alpha, mu) if is_strictly_decreasing(mu) else {}
 
 
 @lru_cache(maxsize=None)

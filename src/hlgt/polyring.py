@@ -15,7 +15,8 @@ encoding) is graded-lexicographic on the concatenated exponent vector
 (x_1, ..., x_n, q, t), descending.  It comes from two stable sorts of the
 exponent tuples: lexicographic descending, then by total degree
 descending.  The JSON text is filled in term by term from one template per
-ring; :meth:`Polynomial.to_dict` is its parse.  Equality is structural, so
+ring; :meth:`Polynomial.to_dict` is its parse.  ``formulas._Layout.to_json``
+writes the same text for a packed pattern sum.  Equality is structural, so
 two construction orders of the same polynomial compare equal.
 
 The constructor is the checked entry for terms from outside the program.

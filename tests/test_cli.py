@@ -10,8 +10,9 @@ import pytest
 
 from hlgt import cli, formulas, oracle
 from hlgt.cli import main
-from hlgt.patterns import add_staircase, weakly_decreasing_tuples
+from hlgt.patterns import add_staircase, is_strictly_decreasing, weakly_decreasing_tuples
 from hlgt.polyring import Polynomial
+from hlgt.verify import grid
 
 from helpers import count_memoized_work
 
@@ -232,6 +233,38 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+PATTERN_ROUTES = {"closed": formulas.hl_pattern_expansion, "tokuyama": formulas.tokuyama_sum,
+                  "stanley": formulas.stanley_sum}
+
+
+def test_pattern_json_is_the_reference_writers_text_and_never_unpacks(capsys, monkeypatch):
+    # The packed writer against Polynomial.to_json on the decoded terms:
+    # every partition of grid(4, 3) and the 21 with n = 5, parts <= 2.
+    unpacked = []
+    unpack = formulas._Layout.unpack
+
+    def spy(self, *args):
+        unpacked.append(args)
+        return unpack(self, *args)
+
+    monkeypatch.setattr(formulas._Layout, "unpack", spy)
+    checked = Counter()
+    for lam in [*grid(4, 3), *weakly_decreasing_tuples(5, 2)]:
+        for mode, evaluator in PATTERN_ROUTES.items():
+            if mode == "stanley" and not is_strictly_decreasing(lam):
+                continue
+            code, out, _ = run(capsys, "compute", "--lambda", ",".join(map(str, lam)),
+                               "--mode", mode, "--format", "json")
+            assert code == 0 and not unpacked, (mode, lam)
+            assert out == Polynomial.to_json(evaluator(lam)) + "\n", (mode, lam)
+            assert unpacked
+            unpacked.clear()
+            checked[mode] += 1
+    assert checked == {"closed": 90, "tokuyama": 90, "stanley": 15}
+    code, out, _ = run(capsys, "compute", "--lambda", "2,1,0", "--mode", "closed")
+    assert code == 0 and out.startswith("x1^4*x2^2 + ") and unpacked
 
 
 def test_patterns_rejects_bad_top(capsys):

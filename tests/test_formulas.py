@@ -2,7 +2,7 @@ from collections import Counter
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlgt import formulas, oracle, patterns
@@ -500,8 +500,35 @@ def test_unpack_rejects_a_digit_beyond_the_proven_q_degree(p, beyond, t, c):
     # p's at most six coefficients and the stray one are each at most 100.
     layout = formulas._Layout.proven(2, 2, 100 * 7)
     stray = Polynomial(0, {(2 + beyond, t): c})
-    with pytest.raises(ArithmeticError, match="beyond q-degree 2"):
-        layout.unpack(0, {(): packed(layout, p + stray)})
+    # Both exits of a packed sum decode through the same range check.
+    for exit_ in (layout.unpack, layout.to_json):
+        with pytest.raises(ArithmeticError, match="beyond q-degree 2"):
+            exit_(0, {(): packed(layout, p + stray)})
+
+
+@st.composite
+def packed_sums(draw):
+    """(layout, n_vars, packed): any field width, q,t coefficients of any sign up
+    to the width's largest, x-parts of unrelated degrees, empty ones too."""
+    width = draw(st.sampled_from([8, 16, 32, 64]))
+    layout = formulas._Layout(width, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    top = 2 ** (width - 1) - 1
+    coeff = st.one_of(st.sampled_from([-top, -1, 1, top]), st.integers(-top, top))
+    qt = st.dictionaries(st.tuples(st.integers(0, layout.q_deg), st.integers(0, layout.t_deg)),
+                         coeff, max_size=6)
+    n_vars = draw(st.integers(0, 3))
+    parts = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n_vars), qt, max_size=8))
+    return layout, n_vars, {xs: layout.pack_qt(c) for xs, c in parts.items()}
+
+
+@settings(max_examples=200)
+@given(packed_sums())
+@example((formulas._Layout(8, 0, 0), 2, {}))
+@example((formulas._Layout(16, 1, 1), 2, {(1, 0): 0, (0, 1): -1 << 16}))
+@example((formulas._Layout(64, 1, 0), 1, {(2,): 2 ** 63 - 1, (0,): -1 << 64}))
+def test_the_packed_json_writer_matches_the_polynomial_writer(case):
+    layout, n_vars, packed = case
+    assert layout.to_json(n_vars, packed) == layout.unpack(n_vars, packed).to_json()
 
 
 # ----------------------------------------------------------------------
@@ -604,7 +631,10 @@ def test_a_perturbed_inner_edge_weight_raises_until_it_is_removed(monkeypatch):
 
     def perturbed(upper, lower):
         weight = row_weight_sum(upper, lower)
-        return weight + constant(1, 0) if len(upper) == 2 else weight
+        if len(upper) != 2:
+            return weight
+        weight = {**weight, (0, 0): weight.get((0, 0), 0) + 1}
+        return {key: c for key, c in weight.items() if c}
 
     monkeypatch.setattr(formulas, "_row_weight_sum", perturbed)
     with pytest.raises(formulas.QuotientError, match=r"x1 - q\*x2 does not divide"):
