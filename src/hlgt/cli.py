@@ -42,8 +42,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
+        # Two writes, so the newline never copies the text.
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
+            if not text.endswith("\n"):
+                handle.write("\n")
     else:
         print(text)
 

@@ -71,9 +71,10 @@ machine integers through one decoder, ``_Layout._decode``; a value
 beyond the proven q-degree raises ArithmeticError in each.  The pattern
 sums return F(top) still packed, as a Polynomial whose terms are decoded
 on first read.  ``_Layout.to_json`` writes its canonical JSON text with
-no term map: that is what ``compute --format json`` prints in modes
-closed, tokuyama and stanley.  ``unpack`` gives the terms to every other
-use (text output, arithmetic, equality in ``verify``).
+no term map, joining text pieces shared between terms in one pass: that
+is what ``compute --format json`` prints in modes closed, tokuyama and
+stanley.  ``unpack`` gives the terms to every other use (text output,
+arithmetic, equality in ``verify``).
 ``_Layout.quotient``, called by ``_one_step`` only, divides a packed row
 step exactly by its factors x_1 - q x_j before anything is unpacked, and
 returns the quotient only with a proof that the step is the factors
@@ -83,9 +84,10 @@ times it, else QuotientError.  ``_row_quotient`` composes these proofs.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, compress, product
+from itertools import chain, compress, product, repeat
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -306,6 +308,14 @@ class QuotientError(ArithmeticError):
 _FIELD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
+class _Heads(dict):
+    """Coefficient -> the JSON text that opens its term, each formatted on first use."""
+
+    def __missing__(self, c: int) -> str:
+        head = self[c] = '{"c": "%d", "x": [' % c
+        return head
+
+
 @dataclass(frozen=True)
 class _Layout:
     """Kronecker layout of q,t coefficients in signed fields of one int.
@@ -390,24 +400,37 @@ class _Layout:
     def to_json(self, n_vars: int, packed: dict[tuple[int, ...], int]) -> str:
         """``unpack(n_vars, packed).to_json()``, written with no term map and no sort of terms.
 
-        The x-parts are sorted once, lex-descending, and each one's digits
-        come highest field first: q descending, then t.  So appending each
-        term to a bucket of its total degree leaves every bucket in
-        lex-descending order on (x.., q, t), and the buckets joined by
-        descending degree give the canonical order.  One template per
-        x-part has its x-exponents filled in, so each term formats c, q, t.
+        Each term's text is three shared strings: a head ``{"c": "<c>",
+        "x": [`` formatted once per distinct coefficient of the call, the
+        x-part's exponents formatted once per x-part, and a tail ``],
+        "q": <q>, "t": <t>}, `` formatted once per (q, t) field.  The
+        x-parts are sorted once, lex-descending, and each one's digits
+        come highest field first: q descending, then t.  So extending the
+        bucket of each term's total degree with its three pieces leaves
+        every bucket in lex-descending order on (x.., q, t), and the
+        buckets read by descending degree give the canonical order.  Per
+        x-part, ``compress`` over the digits picks the nonzero ones'
+        heads, tails and buckets, and ``list.extend`` runs over them in C,
+        so no string is formatted and no Python loop runs per term.  The
+        last piece loses its separator, and one join writes the document.
         """
-        keyed = [(q + t, q, t) for q, t in self._slots()]
-        top = max(map(sum, packed), default=0) + self.q_deg + self.t_deg
+        slots = self._slots()
+        tails = ['], "q": %d, "t": %d}, ' % qt for qt in slots]
+        heads = _Heads()
+        degrees = set(map(sum, packed))
+        top = max(degrees, default=0) + self.q_deg + self.t_deg
         buckets: list[list[str]] = [[] for _ in range(top + 1)]
-        appends = [bucket.append for bucket in buckets]
-        template = '{"c": "%%d", "x": [' + ", ".join(["%d"] * n_vars) + '], "q": %%d, "t": %%d}'
+        targets = {d: [buckets[d + q + t] for q, t in slots] for d in degrees}
+        exponents, drain = ", ".join(["%d"] * n_vars), deque(maxlen=0).extend
         for xs, digits in self._decode((xs, packed[xs]) for xs in sorted(packed, reverse=True)):
-            term, degree = template % xs, sum(xs)
-            for (qt, q, t), c in zip(compress(keyed, digits), compress(digits, digits)):
-                appends[degree + qt](term % (c, q, t))
-        body = ", ".join(chain.from_iterable(reversed(buckets)))
-        return '{"n_vars": %d, "terms": [%s]}' % (n_vars, body)
+            drain(map(list.extend, compress(targets[sum(xs)], digits), zip(
+                map(heads.__getitem__, compress(digits, digits)),
+                repeat(exponents % xs), compress(tails, digits))))
+        last = next(filter(None, buckets), None)
+        if last is not None:
+            last[-1] = last[-1][:-2]
+        return "".join(chain(('{"n_vars": %d, "terms": [' % n_vars,),
+                             chain.from_iterable(reversed(buckets)), ("]}",)))
 
     def quotient(self, n_vars: int, packed: dict[tuple[int, ...], int],
                  factors: Sequence[tuple[int, int]]) -> Polynomial:

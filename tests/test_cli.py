@@ -154,6 +154,20 @@ def test_compute_out_file(tmp_path, capsys):
     assert target.read_text().strip() == "x1 + x2"
 
 
+def test_compute_out_file_equals_stdout_on_the_packed_json_path(tmp_path, capsys):
+    target = tmp_path / "poly.json"
+    argv = ("compute", "--lambda", "2,1,0", "--mode", "closed", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("}\n")
+    code, to_file, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and to_file == ""
+    assert target.read_bytes() == out.encode()
+    # A text that already ends in a newline gets no second one.
+    for text in ("x1\n", "x1"):
+        cli._emit(text, str(target))
+        assert target.read_bytes() == b"x1\n"
+
+
 # ----------------------------------------------------------------------
 # patterns
 

@@ -526,9 +526,31 @@ def packed_sums(draw):
 @example((formulas._Layout(8, 0, 0), 2, {}))
 @example((formulas._Layout(16, 1, 1), 2, {(1, 0): 0, (0, 1): -1 << 16}))
 @example((formulas._Layout(64, 1, 0), 1, {(2,): 2 ** 63 - 1, (0,): -1 << 64}))
+# One nonzero term: the only separator cut is the last term's own.
+@example((formulas._Layout(8, 1, 1), 2, {(1, 0): 5 << 8}))
+# Every value decodes to zero: no term at all.
+@example((formulas._Layout(16, 1, 1), 1, {(0,): 0, (2,): 0}))
+# Two x-parts of degree 2, one coefficient in all four slots of each:
+# cached heads are reused and each bucket interleaves the two x-parts.
+@example((formulas._Layout(8, 1, 1), 2, dict.fromkeys([(2, 0), (1, 1)], 3 * 0x01010101)))
 def test_the_packed_json_writer_matches_the_polynomial_writer(case):
     layout, n_vars, packed = case
     assert layout.to_json(n_vars, packed) == layout.unpack(n_vars, packed).to_json()
+
+
+def test_the_packed_json_writer_keeps_nothing_between_calls():
+    # Alternate layouts of other widths, t-degrees and variable counts,
+    # sharing coefficients, so a head or tail kept from the call before
+    # would show in the text.
+    small = formulas._Layout(8, 1, 0)
+    wide = formulas._Layout(32, 2, 2)
+    cases = [
+        (small, 1, {(1,): small.pack_qt({(0, 0): 7, (1, 0): -2})}),
+        (wide, 3, {(1, 0, 2): wide.pack_qt({(0, 0): 7, (1, 2): -2, (2, 1): 7}),
+                   (0, 0, 0): wide.pack_qt({(2, 2): 1})}),
+    ]
+    for layout, n_vars, packed in cases * 2:
+        assert layout.to_json(n_vars, packed) == layout.unpack(n_vars, packed).to_json()
 
 
 # ----------------------------------------------------------------------
