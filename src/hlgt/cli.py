@@ -5,14 +5,15 @@ Exit codes: 0 success (all identities pass), 1 verification failure,
 
 ``main`` builds its argparse parser once per process, on its first call,
 and reuses it; ``build_parser()`` returns a fresh parser on every call.
+The modules ``json`` and ``csv`` are imported by the commands that write
+them (``patterns`` and ``verify`` in JSON, ``bench``), not at start-up:
+``compute`` writes its JSON by hand and needs neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 import time
@@ -40,14 +41,22 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
+# Characters of an --out text encoded per write.
+_OUT_SLICE = 1 << 20
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        # Two writes, so the newline never copies the text.
+        # A write encodes its whole string at once, so write fixed slices:
+        # the file then costs one slice beside the text, not a second copy.
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _OUT_SLICE):
+                handle.write(text[start:start + _OUT_SLICE])
             if not text.endswith("\n"):
                 handle.write("\n")
     else:
+        # One write: a caller that captures stdout in memory (a test, an
+        # in-process benchmark) gets the text in one piece.
         print(text)
 
 
@@ -98,6 +107,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         return _usage_error("--stats requires --strict (row weights need strict rows)")
     found = enumerate_patterns(args.top, strict=args.strict)
     if args.format == "json":
+        import json
         records = [_pattern_record(p, args.stats) for p in found]
         _emit(json.dumps(records), args.out)
         return 0
@@ -119,6 +129,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify.run_suite(args.suite, args.n_max, args.part_max)
     if args.format == "json":
+        import json
         _emit(json.dumps(report.to_dict()), args.out)
     else:
         lines = []
@@ -145,6 +156,7 @@ def _timed(route, lam: tuple[int, ...], repeats: int) -> tuple[float, Polynomial
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import csv
     if any(n < 1 for n in args.n_list):
         return _usage_error("--n sizes must be at least 1")
     if args.part_max < 0:

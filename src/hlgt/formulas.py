@@ -21,7 +21,8 @@ to interleave with alpha.
 Raising operators move one unit from a part to the next ([i i+1] style);
 ``raising_closure(alpha)`` collects every tuple reachable from alpha by
 repeatedly raising a consecutive pair whose gap is exactly 2, together
-with the number of elementary raises needed.  That length is recovered
+with the number of elementary raises needed, as ``RaisingOperator``
+named tuples.  That length is recovered
 from the weighted displacement sum(j * (image_j - alpha_j)): each
 elementary raise adds exactly one to it, so word order never matters.
 
@@ -85,11 +86,10 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, compress, product, repeat
 from math import comb, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
 from .polyring import Polynomial, constant, parameter, synthetic_division
@@ -115,8 +115,7 @@ from .patterns import (
 # ----------------------------------------------------------------------
 # raising operators
 
-@dataclass(frozen=True)
-class RaisingOperator:
+class RaisingOperator(NamedTuple):
     """A reachable image tuple together with its elementary-raise count."""
 
     result: tuple[int, ...]
@@ -316,8 +315,7 @@ class _Heads(dict):
         return head
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(NamedTuple):
     """Kronecker layout of q,t coefficients in signed fields of one int.
 
     ``sum c q^a t^b`` packs to ``sum c << width * (a * stride + b)``, with
@@ -326,7 +324,7 @@ class _Layout:
     every t-degree is at most ``t_deg`` and every coefficient is at most
     ``2**(width - 1) - 1`` in absolute value: ``proven`` takes the width
     from an L1 bound on the coefficients, rounded up to a byte-aligned
-    field of 8, 16, 32 or 64 bits.
+    field of 8, 16, 32 or 64 bits.  A layout is an immutable named tuple.
     """
 
     width: int
@@ -468,7 +466,7 @@ class _Layout:
             if not exact:
                 raise QuotientError(f"x{i + 1} - q*x{j + 1} does not divide the pattern sum")
         try:
-            h = replace(self, q_deg=0).unpack(n_vars, packed)
+            h = self._replace(q_deg=0).unpack(n_vars, packed)
         except ArithmeticError:
             raise QuotientError("the quotient by the x_i - q x_j factors holds q") from None
         norms: dict[tuple[int, ...], int] = {}

@@ -15,8 +15,10 @@ encoding) is graded-lexicographic on the concatenated exponent vector
 (x_1, ..., x_n, q, t), descending.  It comes from two stable sorts of the
 exponent tuples: lexicographic descending, then by total degree
 descending.  The JSON text is filled in term by term from one template per
-ring; :meth:`Polynomial.to_dict` is its parse.  ``formulas._Layout.to_json``
-writes the same text for a packed pattern sum.  Equality is structural, so
+ring; :meth:`Polynomial.to_dict` is its parse.  Only the parsers,
+``to_dict`` and ``from_json``, import ``json``, and only when called.
+``formulas._Layout.to_json`` writes the same text for a packed pattern
+sum.  Equality is structural, so
 two construction orders of the same polynomial compare equal.
 
 The constructor is the checked entry for terms from outside the program.
@@ -29,7 +31,6 @@ and ``_symmetric``) hands it a map that holds none.
 
 from __future__ import annotations
 
-import json
 import operator
 from itertools import chain, repeat
 from math import prod
@@ -246,6 +247,7 @@ class Polynomial:
         return f"Polynomial({self.n_vars}, '{self}')"
 
     def to_dict(self) -> dict:
+        import json
         return json.loads(self.to_json())
 
     def to_json(self) -> str:
@@ -269,6 +271,7 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":
+        import json
         return cls.from_dict(json.loads(text))
 
 

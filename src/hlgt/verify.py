@@ -7,7 +7,10 @@ the brute-force oracle.  ``run_suite`` refuses an n_max over the
 oracle's n! cap before any case, and a grid on which the suite records
 no identity after its last case; an empty grid (n_max < 1 or
 part_max < 0) has no case, so the same rule refuses it.  Each suite
-calls the oracle before any pattern sum.
+calls the oracle before any pattern sum.  A case is a ``CaseResult``
+named tuple (lam, identity, ok); a ``VerifyReport`` is a plain class
+holding the suite's name, its own list of cases and the run's wall
+time, so importing this module loads no ``dataclasses``.
 
 The identities pattern sum = v_n(x;q) * H, with H = HL_lam(x;t) or
 s_lam(x), are checked in the quotient: ``main``, ``recursive`` and
@@ -32,8 +35,7 @@ proof are never memoized.  ``formulas.clear_caches`` empties the tables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import formulas, oracle
 from .polyring import Polynomial, monomial, parameter
@@ -42,18 +44,18 @@ from .patterns import check_partition, is_strictly_decreasing, staircase, weakly
 SUITE_NAMES = ("main", "recursive", "tokuyama", "stanley", "monomial", "raising", "all")
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     lam: tuple[int, ...]
     identity: str
     ok: bool
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    cases: list[CaseResult] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, suite: str, cases: list[CaseResult] | None = None,
+                 wall_time: float = 0.0) -> None:
+        self.suite = suite
+        self.cases = [] if cases is None else cases
+        self.wall_time = wall_time
 
     @property
     def total(self) -> int:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -166,6 +167,20 @@ def test_compute_out_file_equals_stdout_on_the_packed_json_path(tmp_path, capsys
     for text in ("x1\n", "x1"):
         cli._emit(text, str(target))
         assert target.read_bytes() == b"x1\n"
+
+
+def test_out_file_holds_no_second_copy_of_the_text(tmp_path):
+    # 20 MiB: encoded in one write, the file would cost a second 20 MB copy.
+    text = "0123456789abcdef" * (20 << 16)
+    target = tmp_path / "big.txt"
+    tracemalloc.start()
+    try:
+        cli._emit(text, str(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert target.read_text(encoding="utf-8") == text + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -506,6 +506,21 @@ def test_unpack_rejects_a_digit_beyond_the_proven_q_degree(p, beyond, t, c):
             exit_(0, {(): packed(layout, p + stray)})
 
 
+@pytest.mark.parametrize("record, fields", [
+    (formulas.RaisingOperator((1, 1), 1), ("result", "length")),
+    (formulas._Layout(8, 1, 0), ("width", "q_deg", "t_deg")),
+], ids=["RaisingOperator", "_Layout"])
+def test_record_types_are_immutable_values(record, fields):
+    kind = type(record)
+    assert kind._fields == fields
+    twin = kind(*(getattr(record, name) for name in fields))
+    assert twin == record and hash(twin) == hash(record) and len({twin, record}) == 1
+    assert record != record._replace(**{fields[-1]: 5})
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
 @st.composite
 def packed_sums(draw):
     """(layout, n_vars, packed): any field width, q,t coefficients of any sign up

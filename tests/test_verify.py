@@ -5,7 +5,7 @@ import pytest
 
 from hlgt import formulas, oracle
 from hlgt.polyring import Polynomial
-from hlgt.verify import SUITE_NAMES, CaseResult, check_case, grid, run_suite
+from hlgt.verify import SUITE_NAMES, CaseResult, VerifyReport, check_case, grid, run_suite
 
 from helpers import count_memoized_work
 
@@ -26,6 +26,28 @@ def test_single_case():
     report = run_suite("main", 1, 0)
     assert report.total == 1
     assert report.cases[0] == CaseResult((0,), "closed=vq*hl", True)
+
+
+def test_each_report_holds_its_own_cases():
+    first, second = VerifyReport("main"), VerifyReport("main")
+    first.cases.append(CaseResult((0,), "closed=vq*hl", False))
+    assert second.cases == []
+    assert (second.total, second.passed, second.failed, second.wall_time) == (0, 0, 0, 0.0)
+    assert (first.total, first.passed, first.failed) == (1, 0, 1)
+    report = VerifyReport("main", [CaseResult((1, 0), "closed=vq*hl", True)], 1.5)
+    assert report.to_dict() == {
+        "suite": "main", "total": 1, "passed": 1, "failed": 0, "wall_time": 1.5,
+        "cases": [{"lambda": [1, 0], "identity": "closed=vq*hl", "ok": True}],
+    }
+
+
+def test_case_results_compare_and_hash_by_their_fields():
+    case = CaseResult(lam=(1, 0), identity="closed=vq*hl", ok=True)
+    assert CaseResult._fields == ("lam", "identity", "ok")
+    assert (case.lam, case.identity, case.ok) == ((1, 0), "closed=vq*hl", True)
+    twin = CaseResult((1, 0), "closed=vq*hl", True)
+    assert case == twin and hash(case) == hash(twin) and len({case, twin}) == 1
+    assert case != case._replace(ok=False)
 
 
 def test_raising_suite_targets_unit_steps():
