@@ -51,21 +51,22 @@ maps as q,t Polynomials.  The pattern sums walk to the empty row;
 the quotient routes form neither F(top) nor a product: ``_one_step``
 walks one row down over inner sums H(mu) and returns its proven quotient
 by prod_{j>1} (x_1 - q x_j).  ``hl_pattern_quotient`` and
-``tokuyama_quotient`` take H(mu) from the memoized step below
-(``_row_quotient``); the row routes from the oracle.
+``tokuyama_quotient`` take H(mu) from the step below, memoized with the
+bounds its proof took (``_row_quotient``); the row routes from the oracle.
 
 The engine holds each F(row) as {x-exponents: packed int}: the q,t
 coefficient sum c q^a t^b of an x-monomial packs to
 sum c << width * (a * stride + b), Kronecker substitution with signed
 fields, so an edge costs one bigint multiply-add per x-monomial.  The
 layout is proven, not guessed: one scalar pass over the same rows and
-edges bounds each row's q-degree, t-degree and coefficient L1 norm,
-reading each distinct weight map once, with the edges of a row grouped
-by their drop |row| - |mu|, since edges of different drops never add
-into the same coefficient.  The top row's bounds give stride = t-degree
-+ 1 and byte-aligned fields: the smallest of 8, 16, 32 and 64 bits that
-holds L1.bit_length() + 1.  A larger need raises PatternSizeError before
-any product.
+edges, ``_top_bounds``, bounds each row's q-degree, t-degree and
+coefficient L1 norm from the bounds each inner row comes with and those
+of each distinct weight map, taken once.  The top row's bounds give
+stride = t-degree + 1 and byte-aligned fields: the smallest of 8, 16, 32
+and 64 bits that holds L1.bit_length() + 1.  A larger need raises
+PatternSizeError before any product.  One ``_bounds`` and one
+``_Layout.pack`` serve rows and weights: a weight is a term map keyed
+(x-part.., q, t) whose one x-part is ().
 
 The packed result has three exits, all reading each value once as signed
 machine integers through one decoder, ``_Layout._decode``; a value
@@ -78,8 +79,9 @@ stanley.  ``unpack`` gives the terms to every other use (text output,
 arithmetic, equality in ``verify``).
 ``_Layout.quotient``, called by ``_one_step`` only, divides a packed row
 step exactly by its factors x_1 - q x_j before anything is unpacked, and
-returns the quotient only with a proof that the step is the factors
-times it, else QuotientError.  ``_row_quotient`` composes these proofs.
+returns the quotient and its bounds only with a proof that the step is
+the factors times it, else QuotientError.  ``_row_quotient`` composes
+these proofs.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import chain, compress, product, repeat
 from math import comb, prod
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
@@ -305,6 +308,7 @@ class QuotientError(ArithmeticError):
 
 # Field width in bits -> the memoryview format of that signed machine integer.
 _FIELD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+_Q_EXP, _T_EXP = itemgetter(-2), itemgetter(-1)  # the q and t exponents of a term's key
 
 
 class _Heads(dict):
@@ -341,19 +345,14 @@ class _Layout(NamedTuple):
             f"pattern sum too large: its q,t coefficients need {need}-bit fields, "
             f"more than the 64 bits supported")
 
-    def pack(self, poly: Polynomial) -> dict[tuple[int, ...], int]:
-        """Poly as {x-exponents: packed q,t coefficient}."""
+    def pack(self, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+        """Terms keyed (x-part.., q, t) as {x-part: packed q,t coefficient}: pack(w)[()] for a weight w."""
         width, stride = self.width, self.t_deg + 1
         packed: dict[tuple[int, ...], int] = {}
-        for mono, c in poly._terms.items():
+        for mono, c in terms.items():
             xs = mono[:-2]
             packed[xs] = packed.get(xs, 0) + (c << width * (mono[-2] * stride + mono[-1]))
         return packed
-
-    def pack_qt(self, qt: _QtMap) -> int:
-        """A {(q, t): c} map as one packed int."""
-        width, stride = self.width, self.t_deg + 1
-        return sum(c << width * (q * stride + t) for (q, t), c in qt.items())
 
     def _slots(self) -> list[tuple[int, int]]:
         # The (q, t) exponents of each field, highest field first: the order
@@ -431,8 +430,8 @@ class _Layout(NamedTuple):
                              chain.from_iterable(reversed(buckets)), ("]}",)))
 
     def quotient(self, n_vars: int, packed: dict[tuple[int, ...], int],
-                 factors: Sequence[tuple[int, int]]) -> Polynomial:
-        """The q-free H with packed = prod over factors (i, j) of (x_i - q x_j) * H.
+                 factors: Sequence[tuple[int, int]]) -> tuple[Polynomial, tuple[int, int, int]]:
+        """(H, _bounds of H) for the q-free H with packed = prod over factors (i, j) of (x_i - q x_j) * H.
 
         ``packed`` must lie in this layout's range, as ``_row_sums`` proves
         of its result.  Each factor divides with Horner's rule in x_i on
@@ -446,14 +445,13 @@ class _Layout(NamedTuple):
         - the quotient decodes with no q field, so H is free of q;
         - there are at most q_deg factors;
         - every x-monomial's L1 norm in the product is below
-          2**(width - 1).  An x-monomial of the product of the factors
-          has L1 norm equal to its number of picks, one variable per
-          factor, since each pick of x_j carries -q.  So 2**len(factors)
-          * max L1(H) bounds the product's norms.  When that does not
-          fit, H's per-x-monomial norms pass through the factors one at
-          a time, each norm moving up one in x_i and one in x_j; every
-          pick sequence counts once, so each result bounds that
-          x-monomial's norm in the product.
+          2**(width - 1).  An x-monomial of the factors' product has L1
+          norm its number of picks of one variable per factor, since a
+          pick of x_j carries -q, so 2**len(factors) times H's L1 bound
+          bounds the product's norms.  Failing that, H's per-x-monomial
+          norms pass through the factors one at a time, each moving up one
+          in x_i and one in x_j; every pick sequence counts once, so each
+          result bounds that x-monomial's norm in the product.
 
         Otherwise it raises QuotientError.
         """
@@ -469,12 +467,11 @@ class _Layout(NamedTuple):
             h = self._replace(q_deg=0).unpack(n_vars, packed)
         except ArithmeticError:
             raise QuotientError("the quotient by the x_i - q x_j factors holds q") from None
-        norms: dict[tuple[int, ...], int] = {}
-        for mono, c in h._terms.items():
-            xs = mono[:n_vars]
-            norms[xs] = norms.get(xs, 0) + abs(c)
+        bounds = _bounds(h._terms)
         limit = 1 << (self.width - 1)
-        if max(norms.values(), default=0) << len(factors) >= limit:
+        if bounds[2] << len(factors) >= limit:
+            norms = {xs: sum(map(abs, digits))
+                     for xs, digits in self._replace(q_deg=0)._decode(packed.items())}
             for pair in factors:
                 step: dict[tuple[int, ...], int] = {}
                 for xs, c in norms.items():
@@ -485,25 +482,22 @@ class _Layout(NamedTuple):
             if max(norms.values()) >= limit:
                 raise QuotientError(
                     f"the product of the quotient and its factors may overflow {self.width}-bit fields")
-        return h
+        return h, bounds
 
 
-def _bounds(poly: Polynomial) -> tuple[int, int, int]:
-    # (q-degree, t-degree, largest L1 norm of one x-monomial's q,t coefficient)
+def _bounds(terms: dict[tuple[int, ...], int]) -> tuple[int, int, int]:
+    # (q-degree, t-degree, largest L1 norm of one x-part's q,t coefficient) of
+    # terms keyed (x-part.., q, t), a {(q, t): c} weight map's x-part being ().
     l1: dict[tuple[int, ...], int] = {}
-    q_deg = t_deg = 0
-    for mono, c in poly._terms.items():
+    for mono, c in terms.items():
         xs = mono[:-2]
         l1[xs] = l1.get(xs, 0) + abs(c)
-        q_deg = max(q_deg, mono[-2])
-        t_deg = max(t_deg, mono[-1])
-    return q_deg, t_deg, max(l1.values(), default=0)
+    return (max(map(_Q_EXP, terms), default=0), max(map(_T_EXP, terms), default=0),
+            max(l1.values(), default=0))
 
 
-def _qt_bounds(qt: _QtMap) -> tuple[int, int, int]:
-    # _bounds of a {(q, t): c} map: its q-degree, t-degree and L1 norm.
-    return (max((q for q, _ in qt), default=0), max((t for _, t in qt), default=0),
-            sum(map(abs, qt.values())))
+# F(()) = 1 of the pattern sums and H(()) = 1 of the quotients, with its bounds.
+_BOUNDED_ONE = _ONE, _bounds(_UNIT)
 
 
 def _top_bounds(top: tuple[int, ...], levels: list[dict], base: dict,
@@ -512,12 +506,12 @@ def _top_bounds(top: tuple[int, ...], levels: list[dict], base: dict,
 
     L1 bounds the L1 norm of every x-monomial's q,t coefficient:
     L1(row) = max over drops d of the sum, over the edges (mu, d, weight),
-    of L1(weight) * L1(F(mu)).  ``_row_sums`` says why this holds.  Each
-    distinct weight map in ``weights``, keyed by id, is bounded once by
-    ``_qt_bounds``: its largest q and t exponents and the sum of |c|.
+    of L1(weight) * L1(F(mu)).  ``_row_sums`` says why this holds.  The
+    rows of ``base`` come bounded by ``inner``, and each distinct weight
+    map in ``weights``, keyed by id, is bounded once by ``_bounds``.
     """
-    bounds = {mu: _bounds(f) for mu, f in base.items()}
-    weight_bounds = {key: _qt_bounds(w) for key, w in weights.items()}
+    bounds = {mu: b for mu, (_, b) in base.items()}
+    weight_bounds = {key: _bounds(w) for key, w in weights.items()}
     for level in reversed(levels):
         for row, edges in level.items():
             q_deg = t_deg = 0
@@ -538,24 +532,23 @@ def _row_sums(top: tuple[int, ...], weight, depth: int,
 
     The walk goes top down: a row's edges (mu, drop, w) are its interleavings
     mu with w = weight(row, mu) a nonempty {(q, t): c} map and drop =
-    |row| - |mu|; the next level
-    holds the rows they reach, once each, and the rows ``depth`` levels down
-    take F(mu) = inner(mu), a Polynomial in len(mu) variables.  The row step is
+    |row| - |mu|; the next level holds the rows they reach, once each, and
+    the rows ``depth`` levels down take (F(mu), its ``_bounds``) = inner(mu),
+    F(mu) a Polynomial in len(mu) variables.  The row step is
 
         F(row) = sum over edges (mu, drop, w) of w * x_k^drop * F(mu),
 
     with each F held as {x-exponents of the last len(row) variables:
     packed q,t coefficient} and each distinct w packed once to one int,
     so each edge costs one multiply-add per x-monomial.  The packed
-    layout comes from ``_top_bounds``: an edge
-    writes only x-monomials whose x_k exponent is its drop, so a
-    coefficient of F(row), and every partial sum of it, adds
-    products w * (a coefficient of F(mu)) over edges of one drop
-    only.  Each product has L1 norm at most L1(w) * L1(F(mu)), so
-    the largest per-drop sum of these bounds it.  Every row is reachable
-    from top through nonzero weights, so top's bounds cover all rows and
-    fix one layout of byte-aligned fields of at most 64 bits.  F(top)
-    lies in its range.
+    layout comes from ``_top_bounds``: an edge writes only x-monomials
+    whose x_k exponent is its drop, so a coefficient of F(row), and every
+    partial sum of it, adds products w * (a coefficient of F(mu)) over
+    edges of one drop only.  Each product has L1 norm at most L1(w) *
+    L1(F(mu)), so the largest per-drop sum of these bounds it.  Every row
+    is reachable from top through nonzero weights, so top's bounds cover
+    all rows and fix one layout of byte-aligned fields of at most 64
+    bits.  F(top) lies in its range.
     """
     levels: list[dict] = []
     rows = (top,)
@@ -569,8 +562,8 @@ def _row_sums(top: tuple[int, ...], weight, depth: int,
     # ids stay valid while ``levels`` holds every map.
     weights = {id(w): w for level in levels for edges in level.values() for _, _, w in edges}
     layout = _Layout.proven(*_top_bounds(top, levels, base, weights))
-    below = {mu: layout.pack(f) for mu, f in base.items()}
-    packed = {key: layout.pack_qt(w) for key, w in weights.items()}
+    below = {mu: layout.pack(f._terms) for mu, (f, _) in base.items()}
+    packed = {key: layout.pack(w)[()] for key, w in weights.items()}
     for level in reversed(levels):
         above = {}
         for row, edges in level.items():
@@ -615,7 +608,7 @@ class _PackedSum(Polynomial):
 
 def _transfer(top: tuple[int, ...], weight) -> Polynomial:
     """F(top) of the row transfer in the module docstring: every row step down to the empty row."""
-    packed, layout = _row_sums(top, weight, len(top), lambda mu: _ONE)
+    packed, layout = _row_sums(top, weight, len(top), lambda mu: _BOUNDED_ONE)
     return _PackedSum(len(top), layout, packed)
 
 
@@ -635,7 +628,7 @@ def hl_pattern_quotient(lam: Sequence[int]) -> Polynomial:
     Divides row by row in ``_row_quotient``; raises QuotientError unless
     the sum is proven to be v_n(x;q) times the returned polynomial.
     """
-    return _row_quotient(add_staircase(check_partition(lam)), _strict_row_weight_sum)
+    return _row_quotient(add_staircase(check_partition(lam)), _strict_row_weight_sum)[0]
 
 
 def _strict_row_weight_sum(alpha: tuple[int, ...], mu: tuple[int, ...]) -> _QtMap:
@@ -665,37 +658,43 @@ def tokuyama_sum(lam: Sequence[int]) -> Polynomial:
 
 def tokuyama_quotient(lam: Sequence[int]) -> Polynomial:
     """s_lam(x) as the exact quotient of tokuyama_sum(lam) by v_n(x;q), as in hl_pattern_quotient."""
-    return _row_quotient(add_staircase(check_partition(lam)), _strict_tokuyama_weight)
+    return _row_quotient(add_staircase(check_partition(lam)), _strict_tokuyama_weight)[0]
 
 
-def _one_step(alpha: tuple[int, ...], weight, inner) -> Polynomial:
-    # The proven quotient by prod_{j>1} (x_1 - q x_j) of the row step under alpha over inner.
+def _one_step(alpha: tuple[int, ...], weight, inner) -> tuple[Polynomial, tuple[int, int, int]]:
+    # The proven quotient by prod_{j>1} (x_1 - q x_j), and its bounds, of the row step under alpha.
     packed, layout = _row_sums(alpha, weight, 1, inner)
     return layout.quotient(len(alpha), packed, [(0, j) for j in range(1, len(alpha))])
 
 
 @lru_cache(maxsize=None)
-def _row_quotient(row: tuple[int, ...], weight) -> Polynomial:
-    """H(row) = F(row) / v_L(x;q), L = len(row), for F the strict pattern sum of weight.
+def _row_quotient(row: tuple[int, ...], weight) -> tuple[Polynomial, tuple[int, int, int]]:
+    """H(row) = F(row) / v_L(x;q), L = len(row), for F the strict pattern sum of weight, and its bounds.
 
     v_L = prod_{j>1} (x_1 - q x_j) * v_{L-1}, so if F(mu) = v_{L-1} * H(mu)
     for each next row mu, F(row) = v_{L-1} * S(row) with S(row) the row step
     over H(mu); ``_one_step`` proves S(row) = prod_{j>1} (x_1 - q x_j) *
     H(row), so F(row) = v_L * H(row), by induction from H(()) = 1.  Keyed
-    by weight too, so HL and Tokuyama rows never share an entry.
+    by weight too, so HL and Tokuyama rows never share an entry; no step
+    above bounds H(row) again.
     """
     if not row:
-        return _ONE
+        return _BOUNDED_ONE
     return _one_step(row, weight, lambda mu: _row_quotient(mu, weight))
 
 
 def _oracle_step(lam: Sequence[int], weight, inner) -> Polynomial:
-    # The row step under lam + staircase, with the oracle's F(mu) = inner(mu - staircase).
+    # The proven quotient of the row step under lam + staircase over the
+    # oracle's F(mu) = inner(mu - staircase), each bounded once.
     lam = check_partition(lam)
     oracle._check_cap(len(lam))
     rho = staircase(len(lam))[1:]
-    return _one_step(add_staircase(lam), weight,
-                     lambda mu: inner(tuple(m - r for m, r in zip(mu, rho))))
+
+    def bounded(mu: tuple[int, ...]) -> tuple[Polynomial, tuple[int, int, int]]:
+        f = inner(tuple(m - r for m, r in zip(mu, rho)))
+        return f, _bounds(f._terms)
+
+    return _one_step(add_staircase(lam), weight, bounded)[0]
 
 
 def hl_row_quotient(lam: Sequence[int]) -> Polynomial:

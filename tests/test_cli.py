@@ -112,9 +112,10 @@ def test_compute_recursive_beyond_oracle_cap_fails_fast(capsys, monkeypatch):
     assert err.startswith("error: ") and "safety cap" in err
 
 
-@pytest.mark.parametrize("mode", ["closed", "tokuyama", "recursive"])
+@pytest.mark.parametrize("mode", ["closed", "tokuyama", "recursive", "stanley"])
 def test_compute_beyond_64_bit_fields_is_a_usage_error(capsys, monkeypatch, mode):
-    # A proven L1 bound of 2**64 needs 66-bit fields: refused before any packing.
+    # A proven L1 bound of 2**64 needs 66-bit fields: refused before any packing
+    # of a row or an edge weight.
     monkeypatch.setattr(formulas, "_top_bounds", lambda *args: (1, 1, 2 ** 64))
 
     def no_packing(*args):

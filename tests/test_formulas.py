@@ -420,29 +420,26 @@ def qt_polynomials(max_exp=4, bound=10 ** 6, n_vars=0):
         lambda terms: Polynomial(n_vars, terms))
 
 
-def packed(layout, poly):
-    return layout.pack(poly).get((), 0)
+def packed(layout, terms):
+    # A {(q, t): c} map, a weight or a q,t Polynomial's terms, as one packed int.
+    return layout.pack(terms).get((), 0)
 
 
 @settings(max_examples=80)
 @given(qt_polynomials(), qt_polynomials(), qt_polynomials())
 def test_packed_multiply_add_matches_polynomial_arithmetic(a, b, c):
-    (aq, at, al), (bq, bt, bl), (cq, ct, cl) = map(formulas._bounds, (a, b, c))
+    (aq, at, al), (bq, bt, bl), (cq, ct, cl) = (formulas._bounds(p._terms) for p in (a, b, c))
     layout = formulas._Layout.proven(max(aq + bq, cq), max(at + bt, ct), al * bl + cl)
-    value = packed(layout, a) * packed(layout, b) + packed(layout, c)
+    value = packed(layout, a._terms) * packed(layout, b._terms) + packed(layout, c._terms)
     assert layout.unpack(0, {(): value}) == a * b + c
-    # The {(q, t): c} maps the engine weighs its edges with bound and pack alike.
-    for p in (a, b, c):
-        assert formulas._qt_bounds(p._terms) == formulas._bounds(p)
-        assert layout.pack_qt(p._terms) == packed(layout, p)
 
 
 @settings(max_examples=40)
 @given(qt_polynomials(n_vars=2))
 def test_pack_groups_terms_by_x_monomial(p):
-    layout = formulas._Layout.proven(*formulas._bounds(p))
-    assert all(len(xs) == 2 for xs in layout.pack(p))
-    assert layout.unpack(2, layout.pack(p)) == p
+    layout = formulas._Layout.proven(*formulas._bounds(p._terms))
+    assert all(len(xs) == 2 for xs in layout.pack(p._terms))
+    assert layout.unpack(2, layout.pack(p._terms)) == p
 
 
 @settings(max_examples=60)
@@ -457,9 +454,9 @@ def test_extreme_field_values_round_trip(width, signs):
     assert layout.width == width
     units = Polynomial(0, signs)
     poly = units * top
-    assert layout.unpack(0, layout.pack(poly)) == poly
+    assert layout.unpack(0, layout.pack(poly._terms)) == poly
     # the same extremes reached by a product
-    value = packed(layout, units) * packed(layout, constant(top, 0))
+    value = packed(layout, units._terms) * packed(layout, constant(top, 0)._terms)
     assert layout.unpack(0, {(): value}) == poly
 
 
@@ -490,7 +487,7 @@ def test_proven_bounds_cover_the_result(lam, monkeypatch):
         proven.clear()
         result = total(lam)
         [bound] = proven
-        assert all(b >= r for b, r in zip(bound, formulas._bounds(result))), (total, bound)
+        assert all(b >= r for b, r in zip(bound, formulas._bounds(result._terms))), (total, bound)
 
 
 @settings(max_examples=60)
@@ -503,7 +500,7 @@ def test_unpack_rejects_a_digit_beyond_the_proven_q_degree(p, beyond, t, c):
     # Both exits of a packed sum decode through the same range check.
     for exit_ in (layout.unpack, layout.to_json):
         with pytest.raises(ArithmeticError, match="beyond q-degree 2"):
-            exit_(0, {(): packed(layout, p + stray)})
+            exit_(0, {(): packed(layout, (p + stray)._terms)})
 
 
 @pytest.mark.parametrize("record, fields", [
@@ -533,7 +530,7 @@ def packed_sums(draw):
                          coeff, max_size=6)
     n_vars = draw(st.integers(0, 3))
     parts = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n_vars), qt, max_size=8))
-    return layout, n_vars, {xs: layout.pack_qt(c) for xs, c in parts.items()}
+    return layout, n_vars, {xs: packed(layout, c) for xs, c in parts.items()}
 
 
 @settings(max_examples=200)
@@ -560,9 +557,9 @@ def test_the_packed_json_writer_keeps_nothing_between_calls():
     small = formulas._Layout(8, 1, 0)
     wide = formulas._Layout(32, 2, 2)
     cases = [
-        (small, 1, {(1,): small.pack_qt({(0, 0): 7, (1, 0): -2})}),
-        (wide, 3, {(1, 0, 2): wide.pack_qt({(0, 0): 7, (1, 2): -2, (2, 1): 7}),
-                   (0, 0, 0): wide.pack_qt({(2, 2): 1})}),
+        (small, 1, {(1,): small.pack({(0, 0): 7, (1, 0): -2})[()]}),
+        (wide, 3, {(1, 0, 2): wide.pack({(0, 0): 7, (1, 2): -2, (2, 1): 7})[()],
+                   (0, 0, 0): wide.pack({(2, 2): 1})[()]}),
     ]
     for layout, n_vars, packed in cases * 2:
         assert layout.to_json(n_vars, packed) == layout.unpack(n_vars, packed).to_json()
@@ -596,8 +593,8 @@ def pairs(n):
 
 
 def proven_packing(poly):
-    layout = formulas._Layout.proven(*formulas._bounds(poly))
-    return layout, layout.pack(poly)
+    layout = formulas._Layout.proven(*formulas._bounds(poly._terms))
+    return layout, layout.pack(poly._terms)
 
 
 CLOSED_2110 = hl_pattern_expansion((2, 1, 1, 0))
@@ -605,7 +602,8 @@ CLOSED_2110 = hl_pattern_expansion((2, 1, 1, 0))
 
 def test_packed_division_of_a_closed_sum_gives_hl():
     layout, dividend = proven_packing(CLOSED_2110)
-    assert layout.quotient(4, dividend, pairs(4)) == oracle.hall_littlewood((2, 1, 1, 0))
+    hl = oracle.hall_littlewood((2, 1, 1, 0))
+    assert layout.quotient(4, dividend, pairs(4)) == (hl, formulas._bounds(hl._terms))
 
 
 @settings(max_examples=40)
@@ -659,6 +657,28 @@ def test_a_failed_proof_is_never_memoized(monkeypatch):
         assert formulas.hl_pattern_quotient((2, 1, 0)) == oracle.hall_littlewood((2, 1, 0))
     steps = Counter(calls["closed_rows"])
     assert steps[(4, 2, 0)] == 3 and set(steps.values()) == {1, 3}
+
+
+def test_each_proven_row_is_bounded_once(monkeypatch):
+    # A cold quotient bounds one x-polynomial per row step: the H(row) that
+    # step proves.  The step above reads those bounds from H's memo entry.
+    calls = count_memoized_work(monkeypatch)
+    bounds, bounded = formulas._bounds, []
+
+    def spy(terms):
+        if any(len(key) > 2 for key in terms):  # not a {(q, t): c} weight
+            bounded.append(terms)
+        return bounds(terms)
+
+    monkeypatch.setattr(formulas, "_bounds", spy)
+    formulas.hl_pattern_quotient((2, 2, 1, 0, 0))
+    assert len(bounded) == len(calls["closed_rows"]) == 83
+    # Every memo entry keeps the bounds of its own H.
+    misses = formulas._row_quotient.cache_info().misses
+    for row in calls["closed_rows"]:
+        h, proven = formulas._row_quotient(row, formulas._strict_row_weight_sum)
+        assert proven == bounds(h._terms), row
+    assert formulas._row_quotient.cache_info().misses == misses
 
 
 def test_a_perturbed_inner_edge_weight_raises_until_it_is_removed(monkeypatch):
@@ -718,9 +738,9 @@ def test_the_quotient_accepts_exactly_the_products_that_fit(data):
     one = constant(1, n)
     product_norms = Polynomial(n, norms) * prod((xs[i] + xs[j] for i, j in factors), start=one)
     layout = formulas._Layout(8, len(factors), 1)
-    dividend = layout.pack(prod((xs[i] - q * xs[j] for i, j in factors), start=one) * h)
+    dividend = layout.pack((prod((xs[i] - q * xs[j] for i, j in factors), start=one) * h)._terms)
     if max(product_norms._terms.values(), default=0) < 128:
-        assert layout.quotient(n, dividend, factors) == h
+        assert layout.quotient(n, dividend, factors) == (h, formulas._bounds(h._terms))
     else:
         with pytest.raises(formulas.QuotientError, match="overflow 8-bit fields"):
             layout.quotient(n, dividend, factors)
@@ -731,14 +751,14 @@ def test_a_failed_cheap_bound_falls_back_to_the_convolution():
     # but (x1 - q x2) * H has L1 norm 127 at each of its x-monomials.
     h = monomial(127, (2, 0)) + monomial(127, (0, 2))
     layout = formulas._Layout(8, 1, 0)
-    dividend = layout.pack(oracle.weyl_denominator(2, "q") * h)
-    assert layout.quotient(2, dividend, [(0, 1)]) == h
+    dividend = layout.pack((oracle.weyl_denominator(2, "q") * h)._terms)
+    assert layout.quotient(2, dividend, [(0, 1)]) == (h, (0, 0, 127))
 
 
 def test_a_product_beyond_the_fields_raises():
     # H = 127 (x1 + x2): (x1 - q x2) * H has L1 norm 254 at x1 x2.
     h = monomial(127, (1, 0)) + monomial(127, (0, 1))
     layout = formulas._Layout(8, 1, 0)
-    dividend = layout.pack(oracle.weyl_denominator(2, "q") * h)
+    dividend = layout.pack((oracle.weyl_denominator(2, "q") * h)._terms)
     with pytest.raises(formulas.QuotientError, match="overflow 8-bit fields"):
         layout.quotient(2, dividend, [(0, 1)])
